@@ -20,7 +20,7 @@ from .montecarlo import McSettings, estimate_sop
 from .presets import FIGURE_PRESETS, figure_sweep_specs
 from .quadrature import QuadSettings, sop_quadrature
 from .sweep import (CSV_HEADER, LINK_GROUPS, SpecValidationError, _fmt,
-                    config_at, parse_sweep_spec, run_sweep, snr_grid,
+                    _is_int, config_at, parse_sweep_spec, run_sweep, snr_grid,
                     write_rows)
 
 _ENGINE_FLAGS = ("analytic", "mc", "quad")
@@ -30,14 +30,18 @@ class CliValidationError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
+    """A config or spec file; every one has a JSON object at its root."""
     if not os.path.exists(path):
         raise CliValidationError(f"file not found: {path}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CliValidationError(f"{path}: root must be an object, got {data!r}")
+    return data
 
 
 def _link_values(data, group: str, n: int, violations):
@@ -80,7 +84,7 @@ def load_network_config(path: str) -> NetworkConfig:
     data = _load_json(path)
     violations: list = []
     n = data.get("n_relays")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         violations.append(f"n_relays: must be a positive integer, got {n!r}")
         raise CliValidationError("; ".join(violations))
     links = data.get("links")
@@ -147,16 +151,6 @@ def _cmd_sweep(args) -> int:
             print(f"{out}: {len(bad)} of {len(rows)} rows failed "
                   f"({bad[0].status}, ...)", file=sys.stderr)
     return 0 if status_ok else 1
-
-
-def _analytic_table(label, spec):
-    """dict (snr, scheme, rs) -> sop plus the mc rows, straight off a sweep."""
-    rows = run_sweep(spec)
-    table = {}
-    for r in rows:
-        if r.status == "ok" and r.engine == "analytic":
-            table[(r.snr_db, r.scheme, r.rs)] = r.sop
-    return rows, table
 
 
 def _check(report, ok: bool, text: str):
@@ -340,8 +334,14 @@ def _cmd_slope(args) -> int:
     if not isinstance(n_values, list):
         n_values = [n_values]
     slope_cfg = data.get("slope", {})
+    if not isinstance(slope_cfg, dict):
+        raise CliValidationError(f"slope: expected an object, got {slope_cfg!r}")
     lo = slope_cfg.get("snr_lo_db", 30.0)
     hi = slope_cfg.get("snr_hi_db", 40.0)
+    for key, val in (("snr_lo_db", lo), ("snr_hi_db", hi)):
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not math.isfinite(val)):
+            raise CliValidationError(f"slope.{key}: must be a finite number, got {val!r}")
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["scheme", "n_relays", "rs", "slope"])
     for n in n_values:

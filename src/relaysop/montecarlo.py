@@ -109,10 +109,15 @@ def _sample_chunk(config: NetworkConfig, seed: int, chunk_index: int, n_trials: 
     return gsk, gkd, gsd, gke, gse
 
 
-def _scheme_snrs(arrays, scheme: Scheme):
-    """Vectorized run_scheme over a sampled chunk."""
+def _shared_snrs(arrays):
+    """(min(gsk, gkd), gsd, gke, gse): what every scheme reduces from a chunk."""
     gsk, gkd, gsd, gke, gse = arrays
-    gkd_eff = np.minimum(gsk, gkd)
+    return np.minimum(gsk, gkd), gsd, gke, gse
+
+
+def _scheme_snrs(shared, scheme: Scheme):
+    """Vectorized run_scheme over the shared arrays of a sampled chunk."""
+    gkd_eff, gsd, gke, gse = shared
     if scheme in (Scheme.MAX_E, Scheme.MIN_E):
         pick = np.argmax(gke, axis=1) if scheme is Scheme.MAX_E else np.argmin(gke, axis=1)
         rows = np.arange(gke.shape[0])
@@ -123,9 +128,14 @@ def _scheme_snrs(arrays, scheme: Scheme):
     return gm, gse + gke.sum(axis=1)
 
 
-def _count_outages(config, scheme, rho, seed, chunk_index, n_trials):
-    gm, ge = _scheme_snrs(_sample_chunk(config, seed, chunk_index, n_trials), scheme)
-    return int(np.count_nonzero((1.0 + gm) < rho * (1.0 + ge)))
+def _scheme_outages(shared, scheme: Scheme, uses) -> list:
+    """Outage count of each (index, rho) in `uses` from one scheme's reduction.
+
+    The scheme's arrays are freed on return, before the next scheme is reduced.
+    """
+    gm, ge = _scheme_snrs(shared, scheme)
+    lhs, rhs = 1.0 + gm, 1.0 + ge
+    return [int(np.count_nonzero(lhs < rho * rhs)) for _, rho in uses]
 
 
 def _ci_halfwidth(successes: int, trials: int) -> float:
@@ -138,28 +148,48 @@ def _ci_halfwidth(successes: int, trials: int) -> float:
             / (1.0 + z2 / trials))
 
 
-def estimate_sop(config: NetworkConfig, scheme: Scheme, target: SecrecyTarget,
-                 settings: McSettings, workers: int = 1) -> SopResult:
-    """Monte Carlo SOP estimate; bit-identical for equal settings at any worker count."""
+def estimate_sop_many(config: NetworkConfig, scheme_targets, settings: McSettings,
+                      workers: int = 1) -> list[SopResult]:
+    """Monte Carlo SOP estimates of every (scheme, target) pair from one set of draws.
+
+    Each chunk is sampled once; each distinct scheme is reduced once per
+    chunk, one at a time so that only one scheme's (gamma_M, gamma_E) arrays
+    are alive, and every target of that scheme is counted from them. Result
+    i belongs to pair i and is bit-identical to estimate_sop on that pair.
+    """
+    pairs = list(scheme_targets)
+    if not pairs:
+        raise ValueError("scheme_targets must name at least one (scheme, target) pair")
     require_valid(config)
-    rho = target.rho
+    by_scheme: dict = {}
+    for i, (scheme, target) in enumerate(pairs):
+        by_scheme.setdefault(scheme, []).append((i, target.rho))
     n_chunks = (settings.trials + settings.chunk_size - 1) // settings.chunk_size
 
-    def chunk_count(c: int) -> int:
+    def chunk_counts(c: int) -> list:
         size = min(settings.chunk_size, settings.trials - c * settings.chunk_size)
-        return _count_outages(config, scheme, rho, settings.seed, c, size)
+        shared = _shared_snrs(_sample_chunk(config, settings.seed, c, size))
+        counts = [0] * len(pairs)
+        for scheme, uses in by_scheme.items():
+            for (i, _), count in zip(uses, _scheme_outages(shared, scheme, uses)):
+                counts[i] = count
+        return counts
 
     if workers > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(chunk_count, range(n_chunks)))
+            per_chunk = list(pool.map(chunk_counts, range(n_chunks)))
     else:
-        counts = [chunk_count(c) for c in range(n_chunks)]
+        per_chunk = [chunk_counts(c) for c in range(n_chunks)]
 
-    total = sum(counts)
-    return SopResult(
-        value=total / settings.trials,
-        engine=Engine.MONTE_CARLO,
-        trials=settings.trials,
-        ci_halfwidth=_ci_halfwidth(total, settings.trials),
-        seed=settings.seed,
-    )
+    return [SopResult(value=total / settings.trials,
+                      engine=Engine.MONTE_CARLO,
+                      trials=settings.trials,
+                      ci_halfwidth=_ci_halfwidth(total, settings.trials),
+                      seed=settings.seed)
+            for total in map(sum, zip(*per_chunk))]
+
+
+def estimate_sop(config: NetworkConfig, scheme: Scheme, target: SecrecyTarget,
+                 settings: McSettings, workers: int = 1) -> SopResult:
+    """Monte Carlo SOP estimate; bit-identical for equal settings at any worker count."""
+    return estimate_sop_many(config, [(scheme, target)], settings, workers)[0]

@@ -2,10 +2,11 @@
 
 A sweep spec fixes the axis grid, the threshold rates, the schemes, the
 engines, and one policy per link group describing how that group's mean SNRs
-derive from the axis SNR. Grid points evaluate independently (optionally on
-a worker pool); rows are emitted in a fixed order (snr major, then scheme,
-rs, engine) so output files are byte-identical across runs and worker
-counts for a fixed seed.
+derive from the axis SNR. The Monte Carlo rows of one axis point evaluate
+together from one set of draws (optionally one point per worker thread);
+rows are emitted in a fixed order (snr major, then scheme, rs, engine) so
+output files are byte-identical across runs and worker counts for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 from .analytic import sop_analytic
 from .errors import ConvergenceError, UnsupportedSizeError
 from .model import NetworkConfig, Scheme, SecrecyTarget, db_to_rate
-from .montecarlo import McSettings, estimate_sop
+from .montecarlo import McSettings, estimate_sop_many
 from .quadrature import QuadSettings, sop_quadrature
 
 LINK_GROUPS = ("s_relays", "relays_d", "s_d", "relays_e", "s_e")
@@ -118,6 +119,28 @@ class SweepSpec:
     quad_abs_tol: float = 1e-12
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _section(data: dict, key: str, violations) -> dict:
+    """An optional sub-object of the spec; {} when absent or not an object."""
+    sub = data.get(key, {})
+    if isinstance(sub, dict):
+        return sub
+    violations.append(f"{key}: expected an object, got {sub!r}")
+    return {}
+
+
+def _nonempty_list(data: dict, key: str, violations) -> list:
+    items = data.get(key)
+    if isinstance(items, (list, tuple)) and items:
+        return items
+    violations.append(f"{key}: must be a nonempty list")
+    return []
+
+
 def parse_sweep_spec(data: dict) -> SweepSpec:
     """Build and validate a SweepSpec from parsed JSON; collects every problem."""
     v: list = []
@@ -125,11 +148,11 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         raise SpecValidationError(["spec root must be an object"])
 
     n = data.get("n_relays")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         v.append(f"n_relays: must be a positive integer, got {n!r}")
         n = 1
 
-    grid = data.get("snr_db", {})
+    grid = _section(data, "snr_db", v)
     start = grid.get("start", 0.0)
     stop = grid.get("stop", start)
     step = grid.get("step", 1.0)
@@ -141,26 +164,19 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     if isinstance(start, (int, float)) and isinstance(stop, (int, float)) and stop < start:
         v.append("snr_db: stop must be >= start")
 
-    rs_values = data.get("rs_values", [])
-    if not rs_values:
-        v.append("rs_values: must be a nonempty list")
+    rs_values = _nonempty_list(data, "rs_values", v)
     for r in rs_values:
         if not isinstance(r, (int, float)) or not math.isfinite(r) or r < 0:
             v.append(f"rs_values: entries must be finite and >= 0, got {r!r}")
 
     schemes = []
-    raw_schemes = data.get("schemes", [])
-    if not raw_schemes:
-        v.append("schemes: must be a nonempty list")
-    for s in raw_schemes:
+    for s in _nonempty_list(data, "schemes", v):
         try:
             schemes.append(Scheme(s))
         except ValueError:
             v.append(f"schemes: unknown scheme {s!r}")
 
-    engines = tuple(data.get("engines", []))
-    if not engines:
-        v.append("engines: must be a nonempty list")
+    engines = tuple(_nonempty_list(data, "engines", v))
     for e in engines:
         if e not in ENGINE_NAMES:
             v.append(f"engines: expected one of {ENGINE_NAMES}, got {e!r}")
@@ -186,18 +202,18 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
                 else:
                     links[group] = pol
 
-    mc = data.get("mc", {})
+    mc = _section(data, "mc", v)
     trials = mc.get("trials", 1_000_000)
     seed = mc.get("seed", 12345)
     chunk = mc.get("chunk_size", 1 << 16)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         v.append(f"mc.trials: must be a positive integer, got {trials!r}")
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
         v.append(f"mc.seed: must be a 64-bit nonnegative integer, got {seed!r}")
-    if not isinstance(chunk, int) or chunk < 1:
+    if not _is_int(chunk) or chunk < 1:
         v.append(f"mc.chunk_size: must be a positive integer, got {chunk!r}")
 
-    quad = data.get("quad", {})
+    quad = _section(data, "quad", v)
     rel_tol = quad.get("rel_tol", 1e-9)
     abs_tol = quad.get("abs_tol", 1e-12)
     if not isinstance(rel_tol, (int, float)) or rel_tol <= 0:
@@ -253,29 +269,56 @@ class SweepRow:
     status: str = "ok"
 
 
+def _status(exc: Exception) -> str:
+    """The row status of an engine or input error."""
+    if isinstance(exc, UnsupportedSizeError):
+        return "unsupported-size"
+    if isinstance(exc, ConvergenceError):
+        return "convergence-failure"
+    return "invalid-input"
+
+
+_ROW_ERRORS = (UnsupportedSizeError, ConvergenceError, ValueError)
+
+
+def _row(snr_db, scheme, rs, engine, res=None, status="ok") -> SweepRow:
+    if res is None:
+        return SweepRow(snr_db, scheme, rs, engine, status=status)
+    return SweepRow(snr_db, scheme, rs, engine, sop=res.value,
+                    ci_halfwidth=res.ci_halfwidth, trials=res.trials, seed=res.seed)
+
+
 def _eval_point(spec: SweepSpec, snr_db: float, scheme: Scheme, rs: float,
                 engine: str) -> SweepRow:
-    base = dict(snr_db=snr_db, scheme=scheme, rs=rs, engine=engine)
+    """One analytic or quad row."""
     try:
         config = config_at(spec, snr_db)
         target = SecrecyTarget(rs)
         if engine == "analytic":
             res = sop_analytic(config, scheme, target)
-        elif engine == "quad":
+        else:
             res = sop_quadrature(config, scheme, target,
                                  QuadSettings(rel_tol=spec.quad_rel_tol,
                                               abs_tol=spec.quad_abs_tol))
-        else:
-            res = estimate_sop(config, scheme, target,
-                               McSettings(spec.trials, spec.seed, spec.chunk_size))
-    except UnsupportedSizeError:
-        return SweepRow(**base, status="unsupported-size")
-    except ConvergenceError:
-        return SweepRow(**base, status="convergence-failure")
-    except ValueError:
-        return SweepRow(**base, status="invalid-input")
-    return SweepRow(**base, sop=res.value, ci_halfwidth=res.ci_halfwidth,
-                    trials=res.trials, seed=res.seed)
+    except _ROW_ERRORS as exc:
+        return _row(snr_db, scheme, rs, engine, status=_status(exc))
+    return _row(snr_db, scheme, rs, engine, res)
+
+
+def _eval_mc_point(spec: SweepSpec, snr_db: float) -> list:
+    """Every mc row at one axis point, from one batched estimate: the config
+    depends only on the axis point, so all its rows share one set of draws."""
+    cells = [(scheme, rs) for scheme in spec.schemes for rs in spec.rs_values]
+    try:
+        results = estimate_sop_many(
+            config_at(spec, snr_db),
+            [(scheme, SecrecyTarget(rs)) for scheme, rs in cells],
+            McSettings(spec.trials, spec.seed, spec.chunk_size))
+    except _ROW_ERRORS as exc:
+        return [_row(snr_db, scheme, rs, "mc", status=_status(exc))
+                for scheme, rs in cells]
+    return [_row(snr_db, scheme, rs, "mc", res)
+            for (scheme, rs), res in zip(cells, results)]
 
 
 def sweep_points(spec: SweepSpec):
@@ -288,12 +331,22 @@ def sweep_points(spec: SweepSpec):
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
-    """Evaluate the whole grid; row order is independent of the worker count."""
-    points = sweep_points(spec)
+    """Evaluate the whole grid; row order is independent of the worker count.
+
+    Only the mc batches, one per axis point, run on `workers` threads (numpy
+    releases the interpreter lock while it samples). Analytic and quad rows
+    run serially in the calling thread: the analytic engine sets mpmath's
+    process-wide working precision, which threads would clobber.
+    """
+    mc_grid = snr_grid(spec) if "mc" in spec.engines else []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: _eval_point(spec, *p), points))
-    return [_eval_point(spec, *p) for p in points]
+            batches = list(pool.map(lambda snr: _eval_mc_point(spec, snr), mc_grid))
+    else:
+        batches = [_eval_mc_point(spec, snr) for snr in mc_grid]
+    mc = {(r.snr_db, r.scheme, r.rs): r for batch in batches for r in batch}
+    return [mc[p[:3]] if p[3] == "mc" else _eval_point(spec, *p)
+            for p in sweep_points(spec)]
 
 
 def _fmt(value) -> str:

@@ -2,19 +2,21 @@
 reference parameterizations plus the qualitative figure claims.
 
 Each test prints one ACCEPTANCE line; run with -s (or read captured output)
-for the full tally. The heavy test is the three-engine grid (a few minutes:
-640 Monte Carlo runs at 1e6 trials).
+for the full tally. The heavy test is the three-engine grid (about half a
+minute: 640 cells, Monte Carlo at 1e6 trials in one batched call per network).
 """
 
 import math
+import threading
 
 import numpy as np
 
+from relaysop import sweep
 from relaysop.analytic import diversity_slope, sop_analytic
 from relaysop.expdist import excl_max_pdf, hypoexp_pdf, max_exp_cdf
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
-from relaysop.montecarlo import McSettings, estimate_sop
-from relaysop.presets import PARAM_FAMILIES, family_config
+from relaysop.montecarlo import McSettings, estimate_sop, estimate_sop_many
+from relaysop.presets import PARAM_FAMILIES, family_config, family_links
 from relaysop.quadrature import sop_quadrature
 from relaysop.sweep import parse_sweep_spec, run_sweep, rows_to_csv
 
@@ -34,26 +36,26 @@ def report(num, name, ok, detail=""):
 
 def test_criterion_1_three_engine_agreement():
     """analytic vs quadrature within 1e-5 and both within 4 half-widths of
-    Monte Carlo at 1e6 trials, over the full reference grid."""
+    Monte Carlo at 1e6 trials, over the full reference grid. The Monte Carlo
+    cells of one network share their draws (one batched call per network),
+    which gives each cell the same value as its own estimate_sop call."""
     failures = []
     worst_aq = 0.0
+    pairs = [(scheme, SecrecyTarget(rs)) for rs in GRID_RS for scheme in Scheme]
     for family in PARAM_FAMILIES:
         for n in GRID_N:
             for snr in GRID_SNR_DB:
                 config = family_config(family, n, snr)
-                for rs in GRID_RS:
-                    target = SecrecyTarget(rs)
-                    for scheme in Scheme:
-                        a = sop_analytic(config, scheme, target).value
-                        q = sop_quadrature(config, scheme, target).value
-                        m = estimate_sop(config, scheme, target,
-                                         McSettings(1_000_000, SEED))
-                        worst_aq = max(worst_aq, abs(a - q))
-                        tol = 4 * m.ci_halfwidth
-                        if (abs(a - q) > 1e-5 or abs(a - m.value) > tol
-                                or abs(q - m.value) > tol):
-                            failures.append((family, n, snr, rs, scheme.value,
-                                             a, q, m.value, m.ci_halfwidth))
+                mc = estimate_sop_many(config, pairs, McSettings(1_000_000, SEED))
+                for (scheme, target), m in zip(pairs, mc):
+                    a = sop_analytic(config, scheme, target).value
+                    q = sop_quadrature(config, scheme, target).value
+                    worst_aq = max(worst_aq, abs(a - q))
+                    tol = 4 * m.ci_halfwidth
+                    if (abs(a - q) > 1e-5 or abs(a - m.value) > tol
+                            or abs(q - m.value) > tol):
+                        failures.append((family, n, snr, target.rs, scheme.value,
+                                         a, q, m.value, m.ci_halfwidth))
     ok = report(1, "three-engine-agreement", not failures,
                 f"640 cells, worst |analytic-quad| = {worst_aq:.2e}")
     assert not failures, f"engine disagreement at {failures[:5]}"
@@ -346,4 +348,36 @@ def test_criterion_8_determinism():
     ok &= rerun == outputs[4]
     report(8, "mc-determinism", ok,
            f"{len(outputs[1].splitlines()) - 1} rows byte-identical")
+    assert ok
+
+
+def test_criterion_9_closed_form_determinism(monkeypatch):
+    """Analytic and quad sweep CSVs are byte-identical at 1, 4 and 16
+    workers. The analytic engine sets mpmath's process-wide precision, so
+    every analytic and quad row must run in the calling thread; rows on
+    concurrent threads differ only now and then, so that is checked too."""
+    spec = parse_sweep_spec({
+        "n_relays": 4,
+        "snr_db": {"start": 0.0, "stop": 40.0, "step": 1.0},
+        "rs_values": [0.0, 1.0],
+        "schemes": ["max-e", "min-e", "max-mrc", "mrc-mrc"],
+        "engines": ["analytic", "quad"],
+        "links": family_links("fig4", 4),
+    })
+    threads = set()
+
+    def recording(engine):
+        def call(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return engine(*args, **kwargs)
+        return call
+
+    for name in ("sop_analytic", "sop_quadrature"):
+        monkeypatch.setattr(sweep, name, recording(getattr(sweep, name)))
+    outputs = {w: rows_to_csv(run_sweep(spec, workers=w)) for w in (1, 4, 16)}
+    ok = outputs[1] == outputs[4] == outputs[16]
+    ok &= threads == {threading.get_ident()}
+    report(9, "closed-form-determinism", ok,
+           f"{len(outputs[1].splitlines()) - 1} rows, "
+           f"{len(threads)} evaluating thread(s)")
     assert ok

@@ -251,6 +251,65 @@ class TestSweepCommand:
             assert abs(vals["analytic"] - vals["quad"]) <= 1e-5
 
 
+class TestMalformedInput:
+    """Malformed files exit 2 with an `error:` line instead of a traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, data):
+        path = write_json(tmp_path / "in.json", data)
+        if command == "eval":
+            argv = ["eval", "--config", path, "--scheme", "max-e", "--rs", "0"]
+        elif command == "sweep":
+            argv = ["sweep", "--spec", path, "--out", str(tmp_path / "o.csv")]
+        else:
+            argv = ["slope", "--spec", path]
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep", "slope"])
+    def test_non_object_root(self, tmp_path, capsys, command):
+        code, err = self.run(tmp_path, capsys, command, [1, 2])
+        assert code == 2
+        assert err.startswith("error:") and "root must be an object" in err
+
+    @pytest.mark.parametrize("section", ["snr_db", "mc", "quad", "slope"])
+    def test_non_object_section(self, tmp_path, capsys, section):
+        data = small_sweep_spec(engines=("analytic",))
+        data[section] = 5
+        command = "slope" if section == "slope" else "sweep"
+        code, err = self.run(tmp_path, capsys, command, data)
+        assert code == 2
+        assert err.startswith("error:") and f"{section}: expected an object" in err
+
+    def test_non_numeric_slope_bound(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["slope"] = {"snr_lo_db": "30"}
+        code, err = self.run(tmp_path, capsys, "slope", data)
+        assert code == 2
+        assert err.startswith("error:") and "slope.snr_lo_db" in err
+
+    def test_non_list_rs_values(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["rs_values"] = 1.0
+        code, err = self.run(tmp_path, capsys, "sweep", data)
+        assert code == 2
+        assert err.startswith("error:") and "rs_values: must be a nonempty list" in err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_boolean_relay_count(self, tmp_path, capsys, command):
+        data = symmetric_config() if command == "eval" else small_sweep_spec()
+        data["n_relays"] = True
+        code, err = self.run(tmp_path, capsys, command, data)
+        assert code == 2
+        assert err.startswith("error:") and "n_relays" in err
+
+    def test_boolean_trial_count(self):
+        data = small_sweep_spec()
+        data["mc"]["trials"] = True
+        with pytest.raises(SpecValidationError, match="mc.trials"):
+            parse_sweep_spec(data)
+
+
 class TestSlopeCommand:
     def test_fig2_like_spec(self, tmp_path, capsys):
         data = {

@@ -6,7 +6,8 @@ import pytest
 from relaysop.expdist import hypoexp_pdf
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import (ChannelRealization, McSettings, _sample_chunk,
-                                 _scheme_snrs, estimate_sop, run_scheme,
+                                 _scheme_snrs, _shared_snrs, estimate_sop,
+                                 estimate_sop_many, run_scheme,
                                  sample_realization)
 
 SEED = 20250809
@@ -69,7 +70,7 @@ class TestRunScheme:
         arrays = _sample_chunk(cfg, SEED, 0, 200)
         gsk, gkd, gsd, gke, gse = arrays
         for scheme in Scheme:
-            gm, ge = _scheme_snrs(arrays, scheme)
+            gm, ge = _scheme_snrs(_shared_snrs(arrays), scheme)
             for i in range(200):
                 r = ChannelRealization(gsk[i], gkd[i], float(gsd[i]),
                                        gke[i], float(gse[i]))
@@ -139,14 +140,58 @@ class TestEstimate:
                          McSettings(trials=10, seed=1))
 
 
+class TestEstimateMany:
+    #: not a multiple of the chunk size, so the last chunk is partial
+    SETTINGS = McSettings(trials=50_001, seed=19, chunk_size=1 << 13)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_every_cell_matches_estimate_sop(self, workers):
+        cfg = fig2_config(3, 12.0)
+        pairs = [(scheme, SecrecyTarget(rs)) for scheme in Scheme
+                 for rs in (0.0, 1.0)]
+        many = estimate_sop_many(cfg, pairs, self.SETTINGS, workers=workers)
+        assert len(many) == len(pairs)
+        for (scheme, target), res in zip(pairs, many):
+            one = estimate_sop(cfg, scheme, target, self.SETTINGS)
+            assert (res.value, res.ci_halfwidth, res.trials, res.seed) == \
+                (one.value, one.ci_halfwidth, one.trials, one.seed)
+            assert res.value == self.drawn_per_pair(cfg, scheme, target)
+
+    def drawn_per_pair(self, cfg, scheme, target):
+        """Reference: every chunk drawn afresh for this one pair."""
+        s, outages = self.SETTINGS, 0
+        for c, start in enumerate(range(0, s.trials, s.chunk_size)):
+            arrays = _sample_chunk(cfg, s.seed, c, min(s.chunk_size, s.trials - start))
+            gm, ge = _scheme_snrs(_shared_snrs(arrays), scheme)
+            outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
+        return outages / s.trials
+
+    def test_repeated_pairs_each_get_a_result(self):
+        cfg = fig2_config(2, 10.0)
+        pairs = [(Scheme.MIN_E, SecrecyTarget(1.0)),
+                 (Scheme.MAX_E, SecrecyTarget(0.0)),
+                 (Scheme.MIN_E, SecrecyTarget(1.0))]
+        many = estimate_sop_many(cfg, pairs, self.SETTINGS)
+        assert len(many) == 3
+        assert many[0] == many[2]
+        assert many[0] == estimate_sop(cfg, Scheme.MIN_E, SecrecyTarget(1.0),
+                                       self.SETTINGS)
+        assert many[1] == estimate_sop(cfg, Scheme.MAX_E, SecrecyTarget(0.0),
+                                       self.SETTINGS)
+
+    def test_empty_pair_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            estimate_sop_many(fig2_config(1, 10.0), [], self.SETTINGS)
+
+
 class TestPointwiseStructure:
     def test_eavesdropper_snr_dominance_chain(self):
         cfg = fig2_config(4, 15.0)
-        arrays = _sample_chunk(cfg, SEED, 0, 100_000)
-        _, ge_mrc = _scheme_snrs(arrays, Scheme.MRC_MRC)
-        gm_maxmrc, ge_maxmrc = _scheme_snrs(arrays, Scheme.MAX_MRC)
-        gm_maxe, ge_maxe = _scheme_snrs(arrays, Scheme.MAX_E)
-        gm_mine, ge_mine = _scheme_snrs(arrays, Scheme.MIN_E)
+        shared = _shared_snrs(_sample_chunk(cfg, SEED, 0, 100_000))
+        _, ge_mrc = _scheme_snrs(shared, Scheme.MRC_MRC)
+        gm_maxmrc, ge_maxmrc = _scheme_snrs(shared, Scheme.MAX_MRC)
+        gm_maxe, ge_maxe = _scheme_snrs(shared, Scheme.MAX_E)
+        gm_mine, ge_mine = _scheme_snrs(shared, Scheme.MIN_E)
         assert np.all(ge_mrc >= ge_maxmrc)
         assert np.all(ge_maxmrc >= ge_maxe)  # equal: both take the best tap
         assert np.all(ge_maxe >= ge_mine)
@@ -156,8 +201,8 @@ class TestPointwiseStructure:
 
     def test_event_forms_identical_per_trial(self):
         cfg = fig2_config(2, 10.0)
-        arrays = _sample_chunk(cfg, SEED, 0, 100_000)
-        gm, ge = _scheme_snrs(arrays, Scheme.MRC_MRC)
+        gm, ge = _scheme_snrs(_shared_snrs(_sample_chunk(cfg, SEED, 0, 100_000)),
+                              Scheme.MRC_MRC)
         for rs in (0.0, 0.3):
             target = SecrecyTarget(rs)
             ratio_form = (1.0 + gm) < target.rho * (1.0 + ge)
