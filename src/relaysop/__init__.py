@@ -17,7 +17,8 @@ from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
                     db_to_rate, dual_hop_snr, secrecy_outage, secrecy_rate,
                     validate_config)
 from .montecarlo import (ChannelRealization, McSettings, estimate_sop,
-                         estimate_sop_many, run_scheme, sample_realization)
+                         estimate_sop_grid, estimate_sop_many, run_scheme,
+                         sample_realization)
 from .quadrature import QuadSettings, sop_quadrature
 from .sweep import SweepRow, SweepSpec, parse_sweep_spec, run_sweep, write_rows
 
@@ -27,7 +28,8 @@ __all__ = [
     "Scheme", "SchemeTermBreakdown", "SecrecyTarget", "SlopeUndefinedError",
     "SopResult", "SumPairCoeffs", "SweepRow", "SweepSpec",
     "UnsupportedSizeError", "db_to_rate", "diversity_slope", "dual_hop_snr",
-    "estimate_sop", "estimate_sop_many", "excl_max_pdf", "excl_min_rate",
+    "estimate_sop", "estimate_sop_grid", "estimate_sop_many",
+    "excl_max_pdf", "excl_min_rate",
     "hypoexp_cdf", "hypoexp_pdf", "max_e_breakdown", "max_exp_cdf", "min_e_breakdown",
     "parse_sweep_spec", "run_scheme", "run_sweep", "sample_realization",
     "secrecy_outage", "secrecy_rate", "slope_between", "sop_analytic", "sop_max_e",

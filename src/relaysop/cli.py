@@ -20,8 +20,8 @@ from .montecarlo import McSettings, estimate_sop
 from .presets import FIGURE_PRESETS, figure_sweep_specs
 from .quadrature import QuadSettings, sop_quadrature
 from .sweep import (CSV_HEADER, LINK_GROUPS, SpecValidationError, _fmt,
-                    _is_int, config_at, parse_sweep_spec, run_sweep, snr_grid,
-                    write_rows)
+                    _is_int, _is_number, config_at, parse_sweep_spec,
+                    run_sweep, snr_grid, write_rows)
 
 _ENGINE_FLAGS = ("analytic", "mc", "quad")
 
@@ -66,7 +66,7 @@ def _link_values(data, group: str, n: int, violations):
         return None
     rates = []
     for i, v in enumerate(vals):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_number(v):
             violations.append(f"{where}.{key}[{i}]: must be a finite number, got {v!r}")
             return None
         if key == "rate":
@@ -339,8 +339,7 @@ def _cmd_slope(args) -> int:
     lo = slope_cfg.get("snr_lo_db", 30.0)
     hi = slope_cfg.get("snr_hi_db", 40.0)
     for key, val in (("snr_lo_db", lo), ("snr_hi_db", hi)):
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not math.isfinite(val)):
+        if not _is_number(val):
             raise CliValidationError(f"slope.{key}: must be a finite number, got {val!r}")
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["scheme", "n_relays", "rs", "slope"])

@@ -34,7 +34,11 @@ def db_to_rate(mean_snr_db: float) -> float:
     """Exponential rate for a mean link SNR given in dB: 10^(-dB/10)."""
     if not (isinstance(mean_snr_db, (int, float)) and math.isfinite(mean_snr_db)):
         raise ValueError(f"mean SNR in dB must be finite, got {mean_snr_db!r}")
-    return 10.0 ** (-mean_snr_db / 10.0)
+    try:
+        return 10.0 ** (-mean_snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"mean SNR {mean_snr_db!r} dB is too low: its rate "
+                         f"10^(-dB/10) overflows a float") from None
 
 
 def dual_hop_snr(gamma_sk: float, gamma_kd: float) -> float:
@@ -68,7 +72,11 @@ class SecrecyTarget:
         if not (isinstance(self.rs, (int, float)) and math.isfinite(self.rs)) or self.rs < 0:
             raise ValueError(f"threshold rate must be finite and >= 0, got {self.rs!r}")
         object.__setattr__(self, "rs", float(self.rs))
-        object.__setattr__(self, "rho", 2.0 ** (2.0 * self.rs))
+        try:
+            object.__setattr__(self, "rho", 2.0 ** (2.0 * self.rs))
+        except OverflowError:
+            raise ValueError(f"threshold rate {self.rs!r} is too large: "
+                             f"rho = 2^(2*rs) overflows a float") from None
 
 
 def secrecy_outage(gamma_m: float, gamma_e: float, target: SecrecyTarget) -> bool:

@@ -2,11 +2,11 @@
 
 A sweep spec fixes the axis grid, the threshold rates, the schemes, the
 engines, and one policy per link group describing how that group's mean SNRs
-derive from the axis SNR. The Monte Carlo rows of one axis point evaluate
-together from one set of draws (optionally one point per worker thread);
-rows are emitted in a fixed order (snr major, then scheme, rs, engine) so
-output files are byte-identical across runs and worker counts for a fixed
-seed.
+derive from the axis SNR. All Monte Carlo rows of a sweep evaluate together
+in one grid estimate, so every axis point shares each chunk's draws (worker
+threads take blocks of trials); rows are emitted in a fixed order (snr
+major, then scheme, rs, engine) so output files are byte-identical across
+runs and worker counts for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .analytic import sop_analytic
 from .errors import ConvergenceError, UnsupportedSizeError
-from .model import NetworkConfig, Scheme, SecrecyTarget, db_to_rate
-from .montecarlo import McSettings, estimate_sop_many
+from .model import (NetworkConfig, Scheme, SecrecyTarget, db_to_rate,
+                    require_valid)
+from .montecarlo import McSettings, estimate_sop_grid
 from .quadrature import QuadSettings, sop_quadrature
 
 LINK_GROUPS = ("s_relays", "relays_d", "s_d", "relays_e", "s_e")
@@ -91,7 +91,7 @@ def _parse_policy(group: str, data, violations) -> Optional[LinkPolicy]:
     vals = raw if isinstance(raw, (list, tuple)) else [raw]
     ok = True
     for v in vals:
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_number(v):
             violations.append(f"{where}.{key}: entries must be finite numbers, got {v!r}")
             ok = False
         elif kind == "fraction-of-axis" and v <= 0:
@@ -122,6 +122,11 @@ class SweepSpec:
 def _is_int(x) -> bool:
     """A JSON integer; bool is an int subclass in Python but not a count."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; bool is an int subclass in Python but not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _section(data: dict, key: str, violations) -> dict:
@@ -157,16 +162,16 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     stop = grid.get("stop", start)
     step = grid.get("step", 1.0)
     for name, val in (("start", start), ("stop", stop), ("step", step)):
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
+        if not _is_number(val):
             v.append(f"snr_db.{name}: must be a finite number, got {val!r}")
-    if isinstance(step, (int, float)) and not step > 0:
+    if _is_number(step) and not step > 0:
         v.append(f"snr_db.step: must be > 0, got {step!r}")
-    if isinstance(start, (int, float)) and isinstance(stop, (int, float)) and stop < start:
+    if _is_number(start) and _is_number(stop) and stop < start:
         v.append("snr_db: stop must be >= start")
 
     rs_values = _nonempty_list(data, "rs_values", v)
     for r in rs_values:
-        if not isinstance(r, (int, float)) or not math.isfinite(r) or r < 0:
+        if not _is_number(r) or r < 0:
             v.append(f"rs_values: entries must be finite and >= 0, got {r!r}")
 
     schemes = []
@@ -216,10 +221,10 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     quad = _section(data, "quad", v)
     rel_tol = quad.get("rel_tol", 1e-9)
     abs_tol = quad.get("abs_tol", 1e-12)
-    if not isinstance(rel_tol, (int, float)) or rel_tol <= 0:
-        v.append(f"quad.rel_tol: must be positive, got {rel_tol!r}")
-    if not isinstance(abs_tol, (int, float)) or abs_tol <= 0:
-        v.append(f"quad.abs_tol: must be positive, got {abs_tol!r}")
+    if not _is_number(rel_tol) or rel_tol <= 0:
+        v.append(f"quad.rel_tol: must be a positive number, got {rel_tol!r}")
+    if not _is_number(abs_tol) or abs_tol <= 0:
+        v.append(f"quad.abs_tol: must be a positive number, got {abs_tol!r}")
 
     if v:
         raise SpecValidationError(v)
@@ -305,20 +310,43 @@ def _eval_point(spec: SweepSpec, snr_db: float, scheme: Scheme, rs: float,
     return _row(snr_db, scheme, rs, engine, res)
 
 
-def _eval_mc_point(spec: SweepSpec, snr_db: float) -> list:
-    """Every mc row at one axis point, from one batched estimate: the config
-    depends only on the axis point, so all its rows share one set of draws."""
-    cells = [(scheme, rs) for scheme in spec.schemes for rs in spec.rs_values]
-    try:
-        results = estimate_sop_many(
-            config_at(spec, snr_db),
-            [(scheme, SecrecyTarget(rs)) for scheme, rs in cells],
-            McSettings(spec.trials, spec.seed, spec.chunk_size))
-    except _ROW_ERRORS as exc:
-        return [_row(snr_db, scheme, rs, "mc", status=_status(exc))
-                for scheme, rs in cells]
-    return [_row(snr_db, scheme, rs, "mc", res)
-            for (scheme, rs), res in zip(cells, results)]
+def _mc_rows(spec: SweepSpec, workers: int) -> dict:
+    """Every mc row of the sweep, keyed by (snr, scheme, rs), from one grid
+    estimate: the axis points share each chunk's draws. A point whose config
+    fails, or a threshold that fails, gets its own row status."""
+    grid = snr_grid(spec)
+    failed = {}
+    cells = []
+    for scheme in spec.schemes:
+        for rs in spec.rs_values:
+            try:
+                cells.append((scheme, rs, SecrecyTarget(rs)))
+            except ValueError as exc:
+                failed.update({(snr, scheme, rs): _status(exc) for snr in grid})
+    points = []
+    for snr in grid:
+        try:
+            config = config_at(spec, snr)
+            require_valid(config)
+        except _ROW_ERRORS as exc:
+            failed.update({(snr, scheme, rs): _status(exc) for scheme, rs, _ in cells})
+        else:
+            points.append((snr, config))
+    results = []
+    if points and cells:
+        try:
+            results = estimate_sop_grid(
+                [config for _, config in points],
+                [(scheme, target) for scheme, _, target in cells],
+                McSettings(spec.trials, spec.seed, spec.chunk_size), workers)
+        except _ROW_ERRORS as exc:
+            failed.update({(snr, scheme, rs): _status(exc)
+                           for snr, _ in points for scheme, rs, _ in cells})
+    rows = {key: _row(*key, "mc", status=status) for key, status in failed.items()}
+    for (snr, _), row in zip(points, results):
+        for (scheme, rs, _), res in zip(cells, row):
+            rows[(snr, scheme, rs)] = _row(snr, scheme, rs, "mc", res)
+    return rows
 
 
 def sweep_points(spec: SweepSpec):
@@ -333,18 +361,12 @@ def sweep_points(spec: SweepSpec):
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate the whole grid; row order is independent of the worker count.
 
-    Only the mc batches, one per axis point, run on `workers` threads (numpy
-    releases the interpreter lock while it samples). Analytic and quad rows
-    run serially in the calling thread: the analytic engine sets mpmath's
-    process-wide working precision, which threads would clobber.
+    Only the mc rows use `workers`: its threads take blocks of the one grid
+    estimate. Analytic and quad rows run serially in the calling thread: the
+    analytic engine sets mpmath's process-wide working precision, which
+    threads would clobber.
     """
-    mc_grid = snr_grid(spec) if "mc" in spec.engines else []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda snr: _eval_mc_point(spec, snr), mc_grid))
-    else:
-        batches = [_eval_mc_point(spec, snr) for snr in mc_grid]
-    mc = {(r.snr_db, r.scheme, r.rs): r for batch in batches for r in batch}
+    mc = _mc_rows(spec, workers) if "mc" in spec.engines else {}
     return [mc[p[:3]] if p[3] == "mc" else _eval_point(spec, *p)
             for p in sweep_points(spec)]
 

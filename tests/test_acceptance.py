@@ -2,8 +2,8 @@
 reference parameterizations plus the qualitative figure claims.
 
 Each test prints one ACCEPTANCE line; run with -s (or read captured output)
-for the full tally. The heavy test is the three-engine grid (about half a
-minute: 640 cells, Monte Carlo at 1e6 trials in one batched call per network).
+for the full tally. The heavy test is the three-engine grid (640 cells,
+Monte Carlo at 1e6 trials in one grid call per relay count).
 """
 
 import math
@@ -15,7 +15,7 @@ from relaysop import sweep
 from relaysop.analytic import diversity_slope, sop_analytic
 from relaysop.expdist import excl_max_pdf, hypoexp_pdf, max_exp_cdf
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
-from relaysop.montecarlo import McSettings, estimate_sop, estimate_sop_many
+from relaysop.montecarlo import McSettings, estimate_sop, estimate_sop_grid
 from relaysop.presets import PARAM_FAMILIES, family_config, family_links
 from relaysop.quadrature import sop_quadrature
 from relaysop.sweep import parse_sweep_spec, run_sweep, rows_to_csv
@@ -37,25 +37,25 @@ def report(num, name, ok, detail=""):
 def test_criterion_1_three_engine_agreement():
     """analytic vs quadrature within 1e-5 and both within 4 half-widths of
     Monte Carlo at 1e6 trials, over the full reference grid. The Monte Carlo
-    cells of one network share their draws (one batched call per network),
+    cells of one relay count share their draws (one grid call per count),
     which gives each cell the same value as its own estimate_sop call."""
     failures = []
     worst_aq = 0.0
     pairs = [(scheme, SecrecyTarget(rs)) for rs in GRID_RS for scheme in Scheme]
-    for family in PARAM_FAMILIES:
-        for n in GRID_N:
-            for snr in GRID_SNR_DB:
-                config = family_config(family, n, snr)
-                mc = estimate_sop_many(config, pairs, McSettings(1_000_000, SEED))
-                for (scheme, target), m in zip(pairs, mc):
-                    a = sop_analytic(config, scheme, target).value
-                    q = sop_quadrature(config, scheme, target).value
-                    worst_aq = max(worst_aq, abs(a - q))
-                    tol = 4 * m.ci_halfwidth
-                    if (abs(a - q) > 1e-5 or abs(a - m.value) > tol
-                            or abs(q - m.value) > tol):
-                        failures.append((family, n, snr, target.rs, scheme.value,
-                                         a, q, m.value, m.ci_halfwidth))
+    for n in GRID_N:
+        points = [(family, snr) for family in PARAM_FAMILIES for snr in GRID_SNR_DB]
+        configs = [family_config(family, n, snr) for family, snr in points]
+        grid = estimate_sop_grid(configs, pairs, McSettings(1_000_000, SEED))
+        for (family, snr), config, mc in zip(points, configs, grid):
+            for (scheme, target), m in zip(pairs, mc):
+                a = sop_analytic(config, scheme, target).value
+                q = sop_quadrature(config, scheme, target).value
+                worst_aq = max(worst_aq, abs(a - q))
+                tol = 4 * m.ci_halfwidth
+                if (abs(a - q) > 1e-5 or abs(a - m.value) > tol
+                        or abs(q - m.value) > tol):
+                    failures.append((family, n, snr, target.rs, scheme.value,
+                                     a, q, m.value, m.ci_halfwidth))
     ok = report(1, "three-engine-agreement", not failures,
                 f"640 cells, worst |analytic-quad| = {worst_aq:.2e}")
     assert not failures, f"engine disagreement at {failures[:5]}"

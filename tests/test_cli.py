@@ -5,9 +5,10 @@ import json
 import pytest
 
 from relaysop.cli import main
-from relaysop.model import Scheme
-from relaysop.sweep import (SpecValidationError, parse_sweep_spec, snr_grid,
-                            sweep_points)
+from relaysop.model import Scheme, SecrecyTarget, validate_config
+from relaysop.montecarlo import McSettings, estimate_sop_many
+from relaysop.sweep import (SpecValidationError, config_at, parse_sweep_spec,
+                            run_sweep, snr_grid, sweep_points)
 
 
 def write_json(path, data):
@@ -238,6 +239,33 @@ class TestSweepCommand:
         assert by_engine["mc"][8] == "ok"
         assert 0.0 <= float(by_engine["mc"][4]) <= 1.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_points_past_rate_underflow_keep_their_own_status(self, workers):
+        # the S->R hop's rate 10^(-snr/10) underflows to 0 above about 3240 dB;
+        # below that it is subnormal and some S->R draws overflow to inf
+        data = small_sweep_spec(engines=("mc",), trials=3000)
+        data["mc"]["chunk_size"] = 1000
+        data["snr_db"] = {"start": 3000.0, "stop": 3400.0, "step": 100.0}
+        data["links"]["s_relays"] = {"policy": "fraction-of-axis", "fraction": 1.0}
+        data["links"]["relays_d"] = {"policy": "fixed-db", "mean_snr_db": 10.0}
+        spec = parse_sweep_spec(data)
+        rows = run_sweep(spec, workers=workers)
+        settings = McSettings(spec.trials, spec.seed, spec.chunk_size)
+        valid = []
+        for snr in snr_grid(spec):
+            mine = [r for r in rows if r.snr_db == snr]
+            config = config_at(spec, snr)
+            if validate_config(config):
+                assert all(r.status == "invalid-input" and r.sop is None for r in mine)
+                continue
+            valid.append(snr)
+            alone = estimate_sop_many(
+                config, [(r.scheme, SecrecyTarget(r.rs)) for r in mine], settings)
+            assert [(r.status, r.sop, r.ci_halfwidth) for r in mine] == \
+                [("ok", a.value, a.ci_halfwidth) for a in alone]
+        assert valid == [3000.0, 3100.0, 3200.0]
+
     def test_quad_engine_rows(self, tmp_path):
         data = small_sweep_spec(engines=("analytic", "quad"))
         spec = write_json(tmp_path / "s.json", data)
@@ -308,6 +336,108 @@ class TestMalformedInput:
         data["mc"]["trials"] = True
         with pytest.raises(SpecValidationError, match="mc.trials"):
             parse_sweep_spec(data)
+
+
+class TestOverflowingInput:
+    """Inputs whose rates overflow a float exit 2 or get a row status."""
+
+    def test_eval_huge_threshold(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", symmetric_config())
+        code = main(["eval", "--config", cfg, "--scheme", "max-e", "--rs", "600"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "too large" in err
+
+    def test_eval_very_low_mean_snr(self, tmp_path, capsys):
+        data = symmetric_config()
+        data["links"]["s_d"] = {"mean_snr_db": -4000.0}
+        cfg = write_json(tmp_path / "cfg.json", data)
+        code = main(["eval", "--config", cfg, "--scheme", "max-e", "--rs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "too low" in err
+
+    def test_sweep_huge_threshold_rows(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic", "mc"), trials=2000)
+        data["rs_values"] = [0.0, 600.0]
+        spec = write_json(tmp_path / "s.json", data)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", spec, "--out", str(out)]) == 1
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert {r[8] for r in rows if r[2] == "600"} == {"invalid-input"}
+        assert {r[8] for r in rows if r[2] == "0"} == {"ok"}
+
+    def test_sweep_very_low_axis_rows(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic", "mc"), trials=2000)
+        data["snr_db"] = {"start": -4000.0, "stop": 0.0, "step": 4000.0}
+        spec = write_json(tmp_path / "s.json", data)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", spec, "--out", str(out)]) == 1
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert {r[8] for r in rows if r[0] == "-4000"} == {"invalid-input"}
+        assert {r[8] for r in rows if r[0] == "0"} == {"ok"}
+
+
+class TestBooleanNumbers:
+    """JSON true/false are not numbers, although bool subclasses int."""
+
+    @staticmethod
+    def sweep_code(tmp_path, capsys, data):
+        spec = write_json(tmp_path / "s.json", data)
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o.csv")])
+        return code, capsys.readouterr().err
+
+    def test_snr_axis(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["snr_db"] = {"start": True, "stop": True}
+        data["rs_values"] = [True]
+        code, err = self.sweep_code(tmp_path, capsys, data)
+        assert code == 2
+        assert "snr_db.start" in err and "snr_db.stop" in err and "rs_values" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("key", ["start", "stop", "step"])
+    def test_each_snr_bound(self, tmp_path, capsys, key):
+        data = small_sweep_spec(engines=("analytic",))
+        data["snr_db"][key] = True
+        code, err = self.sweep_code(tmp_path, capsys, data)
+        assert code == 2 and f"snr_db.{key}" in err
+
+    def test_rs_value(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["rs_values"] = [0.0, False]
+        code, err = self.sweep_code(tmp_path, capsys, data)
+        assert code == 2 and "rs_values" in err
+
+    def test_sweep_link_value(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["links"]["relays_e"] = {"policy": "fixed-db", "mean_snr_db": [3.0, True]}
+        code, err = self.sweep_code(tmp_path, capsys, data)
+        assert code == 2 and "links.relays_e.mean_snr_db" in err
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    def test_quad_tolerance(self, tmp_path, capsys, key):
+        data = small_sweep_spec(engines=("quad",))
+        data["quad"] = {key: True}
+        code, err = self.sweep_code(tmp_path, capsys, data)
+        assert code == 2 and f"quad.{key}" in err
+
+    @pytest.mark.parametrize("key", ["rate", "mean_snr_db"])
+    def test_config_link_value(self, tmp_path, capsys, key):
+        data = symmetric_config()
+        data["links"]["s_d"] = {key: True}
+        cfg = write_json(tmp_path / "cfg.json", data)
+        code = main(["eval", "--config", cfg, "--scheme", "max-e", "--rs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"links.s_d.{key}" in err
+
+    def test_slope_bound(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["slope"] = {"snr_hi_db": True}
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["slope", "--spec", spec]) == 2
+        assert "slope.snr_hi_db" in capsys.readouterr().err
 
 
 class TestSlopeCommand:

@@ -24,6 +24,11 @@ class TestDbToRate:
         with pytest.raises(ValueError):
             db_to_rate(bad)
 
+    def test_rate_overflow_is_a_value_error(self):
+        assert db_to_rate(-3080.0) == pytest.approx(1e308, rel=1e-12)
+        with pytest.raises(ValueError, match="too low"):
+            db_to_rate(-4000.0)
+
 
 class TestDualHop:
     def test_examples(self):
@@ -77,6 +82,13 @@ class TestSecrecyTarget:
             SecrecyTarget(-0.1)
         with pytest.raises(ValueError):
             SecrecyTarget(float("nan"))
+
+    def test_rho_overflow_is_a_value_error(self):
+        assert SecrecyTarget(511.5).rho == 2.0 ** 1023
+        with pytest.raises(ValueError, match="too large"):
+            SecrecyTarget(512.0)
+        with pytest.raises(ValueError, match="too large"):
+            SecrecyTarget(600.0)
 
     def test_event_forms_agree_per_realization(self):
         # the ratio form is canonical; the unclamped log form must give the

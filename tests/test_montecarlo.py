@@ -5,8 +5,11 @@ import pytest
 
 from relaysop.expdist import hypoexp_pdf
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
-from relaysop.montecarlo import (ChannelRealization, McSettings, _sample_chunk,
-                                 _scheme_snrs, _shared_snrs, estimate_sop,
+from relaysop.montecarlo import (ChannelRealization, McSettings, _block_rows,
+                                 _chunk_state, _generator, _unit_rows,
+                                 _rates, _reductions, _rescale, _sample_chunk,
+                                 _scheme_snrs, _shared_snrs,
+                                 estimate_sop, estimate_sop_grid,
                                  estimate_sop_many, run_scheme,
                                  sample_realization)
 
@@ -182,6 +185,108 @@ class TestEstimateMany:
     def test_empty_pair_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             estimate_sop_many(fig2_config(1, 10.0), [], self.SETTINGS)
+
+
+def five_call_chunk(cfg, seed, chunk_index, n_trials):
+    """Reference draw: one rng.random call per link group, sk, kd, sd, ke, se."""
+    rng = np.random.default_rng((seed, chunk_index))
+    n = cfg.n_relays
+    shapes = ((n_trials, n), (n_trials, n), n_trials, (n_trials, n), n_trials)
+    rates = (np.asarray(cfg.beta_sk), np.asarray(cfg.beta_kd), cfg.beta_sd,
+             np.asarray(cfg.alpha_ke), cfg.alpha_se)
+    return tuple(-np.log1p(-rng.random(shape)) / rate
+                 for shape, rate in zip(shapes, rates))
+
+
+def reference_snrs(arrays, scheme):
+    """(gamma_M, gamma_E) of a whole chunk the way run_scheme reads:
+    fancy-indexed picks, max and sums over full-chunk arrays."""
+    gsk, gkd, gsd, gke, gse = arrays
+    eff, rows = np.minimum(gsk, gkd), np.arange(len(gsd))
+    if scheme in (Scheme.MAX_E, Scheme.MIN_E):
+        k = np.argmax(gke, axis=1) if scheme is Scheme.MAX_E else np.argmin(gke, axis=1)
+        return gsd + eff[rows, k], gse + gke[rows, k]
+    gm = gsd + eff.sum(axis=1)
+    return gm, gse + (gke.max(axis=1) if scheme is Scheme.MAX_MRC else gke.sum(axis=1))
+
+
+def reference_outages(cfg, scheme, target, settings):
+    """Outage count of one pair, every chunk drawn afresh with five calls."""
+    outages = 0
+    for c, start in enumerate(range(0, settings.trials, settings.chunk_size)):
+        size = min(settings.chunk_size, settings.trials - start)
+        gm, ge = reference_snrs(five_call_chunk(cfg, settings.seed, c, size), scheme)
+        outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
+    return outages
+
+
+class TestEstimateGrid:
+    PAIRS = [(scheme, SecrecyTarget(rs)) for scheme in Scheme for rs in (0.0, 0.5)]
+
+    @staticmethod
+    def configs(n):
+        return [fig2_config(n, snr) for snr in (0.0, 12.0, 30.0)]
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("settings", [
+        # three chunks, the last one partial, and chunks of more than one block
+        McSettings(trials=40_001, seed=23, chunk_size=1 << 14 | 7),
+        # fewer chunks than workers
+        McSettings(trials=3_000, seed=29, chunk_size=2_000),
+    ], ids=["partial-last-chunk", "fewer-chunks-than-workers"])
+    def test_every_config_matches_its_own_estimate(self, n, workers, settings):
+        configs = self.configs(n)
+        grid = estimate_sop_grid(configs, self.PAIRS, settings, workers=workers)
+        assert len(grid) == len(configs)
+        for cfg, row in zip(configs, grid):
+            alone = estimate_sop_many(cfg, self.PAIRS, settings)
+            assert len(row) == len(self.PAIRS)
+            for (scheme, target), res, one in zip(self.PAIRS, row, alone):
+                assert (res.value, res.ci_halfwidth, res.trials, res.seed) == \
+                    (one.value, one.ci_halfwidth, one.trials, one.seed)
+                assert res.value == \
+                    reference_outages(cfg, scheme, target, settings) / settings.trials
+
+    def test_single_buffer_stream_equals_five_calls(self):
+        cfg = fig2_config(4, 12.0)
+        for drawn, reference in zip(_sample_chunk(cfg, SEED, 3, 1000),
+                                    five_call_chunk(cfg, SEED, 3, 1000)):
+            assert np.array_equal(drawn, reference)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_block_reductions_are_bit_identical(self, n):
+        # counts hide one-ulp changes, so compare the block arrays themselves;
+        # blocks are drawn last first, as a thread may take them
+        cfg = fig2_config(n, 12.0)
+        rows = _block_rows(n)
+        size = 2 * rows + 1001  # the last block is partial
+        full = five_call_chunk(cfg, SEED, 2, size)
+        gen, state = _generator(), _chunk_state(SEED, 2)
+        scratch = [np.empty((rows,) + u.shape[1:]) for u in full]
+        for lo in reversed(range(0, size, rows)):
+            b = min(rows, size - lo)
+            block = _unit_rows(gen, state, size, n, lo, np.empty(b * (3 * n + 2)))
+            for scheme, gm, ge in _reductions(_rescale(block, _rates(cfg), scratch),
+                                              list(Scheme)):
+                ref_m, ref_e = reference_snrs(full, scheme)
+                assert np.array_equal(gm, ref_m[lo:lo + b])
+                assert np.array_equal(ge, ref_e[lo:lo + b])
+
+    def test_mixed_relay_counts_rejected(self):
+        with pytest.raises(ValueError, match="same relay count"):
+            estimate_sop_grid([fig2_config(2, 10.0), fig2_config(3, 10.0)],
+                              self.PAIRS, McSettings(trials=100, seed=1))
+
+    def test_empty_config_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one network config"):
+            estimate_sop_grid([], self.PAIRS, McSettings(trials=100, seed=1))
+
+    def test_invalid_config_rejected(self):
+        bad = NetworkConfig(1, (1.0,), (1.0,), 0.0, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="beta_sd"):
+            estimate_sop_grid([fig2_config(1, 10.0), bad], self.PAIRS,
+                              McSettings(trials=100, seed=1))
 
 
 class TestPointwiseStructure:
