@@ -2,8 +2,19 @@
 
 Each scheme's outage probability decomposes into per-relay (or per-rate)
 terms built from exponential-mixture antiderivatives: convolution pair
-coefficients for the legitimate sum, inclusion-exclusion subset sums over
-the eavesdropper rates, and hypoexponential weights for the MRC sums.
+coefficients for the legitimate sum, inclusion-exclusion sums over the
+eavesdropper rates, and hypoexponential weights for the MRC sums.
+
+The inclusion-exclusion sums run over sub-multisets of the eavesdropper
+rates (expdist.subset_rate_sums): every subset that takes the same number of
+each distinct rate gives the same term, so the term is built once and
+weighted exactly by the number of such subsets. Relays with equal tap and
+dual-hop rates have equal terms, so the selection schemes evaluate each
+distinct relay once: N identical relays cost one relay's sums over N - 1
+rival terms, where N distinct ones cost N relays' sums over 2^(N-1) - 1.
+Per-pair factors (exponentials, rho*b sums) are computed once outside the
+subset loops in the same operation order, so each term has, bit for bit,
+the value its per-subset expression gives.
 
 The alternating subset sums and the difference-product weights can cancel
 catastrophically when rates nearly coincide (identical relays are the common
@@ -20,7 +31,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .errors import SlopeUndefinedError, UnsupportedSizeError
+from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
 from .expdist import MAX_RATES, spread_rates, subset_rate_sums, working_dps
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
                     require_valid)
@@ -40,35 +51,41 @@ class SchemeTermBreakdown:
 
 
 def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
-    """Sum the mpf addends produced by build() under escalating precision.
+    """Sum the weighted mpf addends produced by build() under escalating precision.
 
-    The rounding error of a cancelling sum is bounded by its largest addend
-    times 10^(2-dps); when the total does not clearly dominate that bound
-    (high-SNR outage probabilities cancel 30+ digits out of the difference-
-    product weights), the evaluation repeats with enough extra digits for
-    the total to stand clear. build() must construct its terms from scratch
-    so every constant picks up the ambient precision.
+    build() returns (count, term) pairs, each standing for `count` equal
+    addends. The weights are applied exactly, so the total is the sum over
+    every addend, rounded once. The rounding error of a cancelling sum is
+    bounded by its largest addend times 10^(2-dps); when the total does not
+    clearly dominate that bound (high-SNR outage probabilities cancel 30+
+    digits out of the difference-product weights), the evaluation repeats
+    with enough extra digits for the total to stand clear. build() must
+    construct its terms from scratch so every constant picks up the ambient
+    precision. Raises ConvergenceError, carrying the last estimate and its
+    error bound, when max_rounds rounds do not clear it.
     """
     dps = base_dps
     guard = mp.mpf(10) ** 12  # clear digits demanded between total and error
-    best = 0.0
     for _ in range(max_rounds):
         with mp.workdps(dps):
             terms = build()
-            total = mp.fsum(terms)
-            scale = max((abs(t) for t in terms), default=mp.mpf(0))
+            total = mp.fsum([t if count == 1 else mp.fmul(count, t, exact=True)
+                             for count, t in terms])
+            scale = max((abs(t) for _, t in terms), default=mp.mpf(0))
             if scale == 0:
                 return 0.0
             err = scale * mp.power(10, 2 - dps)
-            best = float(total)
             if abs(total) >= guard * err or err < mp.mpf("1e-330"):
-                return best
+                return float(total)
             if total != 0:
                 deficit = int(mp.ceil(mp.log10(guard * err / abs(total)))) + 5
             else:
                 deficit = 15
         dps += max(deficit, 10)
-    return best
+    raise ConvergenceError(
+        f"closed-form sum {float(total):.6g} did not clear its rounding error "
+        f"bound {float(err):.3g} in {max_rounds} precision rounds",
+        estimate=float(total), error_bound=float(err))
 
 
 def _check_engine_size(config: NetworkConfig):
@@ -99,8 +116,9 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
     those where the legitimate links already lost. Max selection splits the
     threshold-active region over the rival-best subsets, giving the familiar
     three-term shape; a single relay has no rivals and both schemes collapse
-    to the same pair. Each term is a fully flattened addend list so the
-    escalating evaluation can bound its own cancellation error.
+    to the same pair. Each term is a flat list of weighted addends, one per
+    rival sub-multiset, so the escalating evaluation can bound its own
+    cancellation error.
     """
     others = config.alpha_ke[:k] + config.alpha_ke[k + 1:]
     base_dps = working_dps(spread_rates((config.beta_kD[k], config.beta_sd)))
@@ -117,8 +135,8 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
             rho, rm1, ase, ake, pairs = constants()
             alpha = mp.mpf(math.fsum(others)) if others else mp.mpf(0)
             sel = ake / (alpha + ake)
-            return [sel * ase * B * mp.exp(-b * rm1)
-                    / ((rho * b + ase) * ((ake + alpha) / rho + b))
+            return [(1, sel * ase * B * mp.exp(-b * rm1)
+                     / ((rho * b + ase) * ((ake + alpha) / rho + b)))
                     for B, b in pairs]
 
         def build_slack():
@@ -127,8 +145,8 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
             sel = ake / (alpha + ake)
             out = []
             for B, b in pairs:
-                out.append(sel * B / b)
-                out.append(-sel * (B / b) * ase * mp.exp(-b * rm1) / (rho * b + ase))
+                out.append((1, sel * B / b))
+                out.append((1, -sel * (B / b) * ase * mp.exp(-b * rm1) / (rho * b + ase)))
             return out
 
         i4 = _escalating_sum(build_threshold, base_dps)
@@ -140,32 +158,50 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
 
     subs = subset_rate_sums(others)
 
-    def build_i1():
+    def hoisted():
+        """The constants, with each convolution pair's subset-loop invariants
+        (B, b, B/b, rho*b, ase + rho*b, exp(-b*(rho-1)))."""
         rho, rm1, ase, ake, pairs = constants()
+        return rho, ase, ake, [(B, b, B / b, rho * b, ase + rho * b, mp.exp(-b * rm1))
+                               for B, b in pairs]
+
+    # A subset of size m carries the sign sgn = -(-1)^m. Multiplying by it is
+    # exact, so sgn * (x * y ...) equals the (sgn * x) * y ... it stands for.
+    def build_i1():
+        rho, ase, ake, pairs = hoisted()
+        rho_ase = rho * ase
         out = []
-        for m, am_f in subs:
-            sgn = -((-1) ** m)
-            am = mp.mpf(am_f)
-            for B, b in pairs:
-                lead = sgn * rho * ase * B * mp.exp(-b * rm1) / (ase + rho * b)
-                out.append(lead / (ake + rho * b))
-                out.append(-lead / (ake + am + rho * b))
+        for B, _, _, rb, arb, decay in pairs:
+            lead = rho_ase * B * decay / arb
+            # every subset adds sgn * lead/(ake + rho*b); the weighted signs
+            # sum to exactly 1, so the addend enters once
+            out.append((1, lead / (ake + rb)))
+            for m, am, count in subs:
+                out.append((count, (-1) ** m * (lead / (ake + mp.mpf(am) + rb))))
         return out
 
     def build_i2():
-        rho, rm1, ase, ake, pairs = constants()
-        return [-((-1) ** m) * (rho * mp.mpf(am) * ase / (ake + mp.mpf(am)))
-                * B * mp.exp(-b * rm1) / ((ake + mp.mpf(am) + rho * b) * (ase + rho * b))
-                for m, am in subs for B, b in pairs]
+        rho, ase, ake, pairs = hoisted()
+        out = []
+        for m, am_f, count in subs:
+            sgn = -((-1) ** m)
+            am = mp.mpf(am_f)
+            ka = ake + am
+            sel = rho * am * ase / ka
+            for B, _, _, rb, arb, decay in pairs:
+                out.append((count, sgn * (sel * B * decay / ((ka + rb) * arb))))
+        return out
 
     def build_i3():
-        rho, rm1, ase, ake, pairs = constants()
+        rho, ase, ake, pairs = hoisted()
         out = []
-        for m, am_f in subs:
-            sel = -((-1) ** m) * (mp.mpf(am_f) / (ake + mp.mpf(am_f)))
-            for B, b in pairs:
-                out.append(sel * B / b)
-                out.append(-sel * (B / b) * ase * mp.exp(-b * rm1) / (ase + rho * b))
+        for m, am_f, count in subs:
+            sgn = -((-1) ** m)
+            am = mp.mpf(am_f)
+            sel = am / (ake + am)
+            for B, b, B_b, _, arb, decay in pairs:
+                out.append((count, sgn * (sel * B / b)))
+                out.append((count, -sgn * (sel * B_b * ase * decay / arb)))
         return out
 
     return (_escalating_sum(build_i1, base_dps),
@@ -175,10 +211,17 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
 
 def _selection_breakdown(config: NetworkConfig, target: SecrecyTarget,
                          minimize: bool) -> SchemeTermBreakdown:
+    """Per-relay terms of max or min selection. A relay's terms depend only on
+    its tap and dual-hop rates (its rival multiset is everyone else), so
+    each distinct relay is evaluated once and shared by its equals."""
     _check_engine_size(config)
-    per_relay = tuple(
-        _selection_relay_terms(config, target, k, minimize)
-        for k in range(config.n_relays))
+    by_class: dict = {}
+    per_relay = []
+    for k, key in enumerate(zip(config.alpha_ke, config.beta_kD)):
+        if key not in by_class:
+            by_class[key] = _selection_relay_terms(config, target, k, minimize)
+        per_relay.append(by_class[key])
+    per_relay = tuple(per_relay)
     total = math.fsum(t for terms in per_relay for t in terms)
     return SchemeTermBreakdown(per_relay=per_relay, total=total)
 
@@ -230,13 +273,17 @@ def sop_max_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
         rho = mp.mpf(target.rho)
         rm1 = rho - 1
         ase = mp.mpf(config.alpha_se)
-        terms = [mp.mpf(1)]
+        sums = [(m, mp.mpf(am), count) for m, am, count in subs]
+        terms = [(1, mp.mpf(1))]
         for w, b in _mp_cdf_weights([mp.mpf(r) for r in legit]):
             lead = -ase * w * b * mp.exp(-b * rm1)
-            terms.append(lead / (b * (ase + rho * b)))
-            terms.extend(
-                lead * (-1) ** m * rho / ((mp.mpf(am) + rho * b) * (ase + rho * b))
-                for m, am in subs)
+            rb = rho * b
+            arb = ase + rb
+            terms.append((1, lead / (b * arb)))
+            # (lead * (-1)^m) * rho / ... with the exact sign taken outside
+            lead_rho = lead * rho
+            terms.extend((count, (-1) ** m * (lead_rho / ((am + rb) * arb)))
+                         for m, am, count in sums)
         return terms
 
     total = _escalating_sum(build, working_dps(legit))
@@ -259,8 +306,8 @@ def sop_mrc_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
         for wi, bi in wm:
             for vp, ap in we:
                 prod = wi * vp
-                terms.append(prod)
-                terms.append(-prod * ap * mp.exp(-rm1 * bi) / (ap + rho * bi))
+                terms.append((1, prod))
+                terms.append((1, -prod * ap * mp.exp(-rm1 * bi) / (ap + rho * bi)))
         return terms
 
     total = _escalating_sum(build, working_dps(legit, eve))

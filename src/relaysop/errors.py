@@ -6,17 +6,23 @@ class EmptyExclusionError(ValueError):
 
 
 class UnsupportedSizeError(ValueError):
-    """Relay count exceeds what the subset-enumeration engines can evaluate.
+    """Relay count exceeds what the closed-form engines accept.
 
-    The analytic and quadrature engines enumerate 2^N - 1 eavesdropper
-    subsets; they are capped at N = 8. The Monte Carlo engine has no cap.
+    Analytic max-e and max-mrc enumerate the sub-multisets of the
+    eavesdropper rates: up to 2^N - 1 of them when every rate differs. The
+    analytic and quadrature engines share a cap of N = 8, although only
+    those two closed forms enumerate subsets. The Monte Carlo engine has no
+    cap.
     """
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance.
+    """An engine could not reach the accuracy it requires.
 
-    Carries the best available estimate and its error bound.
+    Raised by adaptive quadrature that misses its requested tolerance, and
+    by a closed-form sum whose total stays within its rounding-error bound
+    after every precision escalation round. Carries the best available
+    estimate and its error bound.
     """
 
     def __init__(self, message, estimate, error_bound):

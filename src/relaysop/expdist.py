@@ -1,6 +1,8 @@
 """Distribution kit over independent non-identically distributed exponentials.
 
-Order-statistic CDFs/PDFs built by inclusion-exclusion over rate subsets,
+Order-statistic CDFs/PDFs built by inclusion-exclusion over rate
+sub-multisets (equal rates grouped, each sub-multiset weighted by the number
+of subsets it stands for),
 two-exponential convolution coefficients, and the general sum-of-exponentials
 (hypoexponential) mixture. Everything is expressed as mixtures of
 exponential terms sum(c_i * exp(-r_i * x)) so the engines can integrate them
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 from typing import Sequence
 
 import mpmath as mp
@@ -27,7 +29,8 @@ from .errors import EmptyExclusionError, UnsupportedSizeError
 EPS_EQUAL_RATE = 1e-9
 #: multiplicative offset scale used to spread near-equal rates apart
 SPREAD_OFFSET = 1e-6
-#: subset enumeration grows as 2^N; hard cap for the closed-form engines
+#: subset enumeration grows as 2^N for distinct rates; hard cap for the
+#: closed-form engines
 MAX_RATES = 8
 #: extra decimal digits beyond the estimated cancellation loss
 _DPS_BASE = 25
@@ -44,11 +47,15 @@ def _validate_rates(rates: Sequence[float], what: str = "rates") -> tuple:
 
 
 def subset_rate_sums(rates: Sequence[float]):
-    """All (subset size m, rate sum) pairs over nonempty subsets, in a fixed order.
+    """All (size m, rate sum, count) triples over the nonempty sub-multisets.
 
-    This is the ordered-tuple enumerator behind the max-of-exponentials
-    expansion, realized as plain subset iteration. Capped at MAX_RATES
-    entries (2^N - 1 terms).
+    This is the enumerator behind the max-of-exponentials inclusion-exclusion
+    expansion. Exactly equal rates form one group; a sub-multiset takes j_g
+    of the m_g rates of group g and stands for count = prod(C(m_g, j_g))
+    subsets, all of size m = sum(j_g) and with the same rate sum (math.fsum
+    rounds the exact sum once, whatever the order of its addends). There are
+    prod(m_g + 1) - 1 entries instead of 2^N - 1, so N identical rates need
+    only N, and the counts add up to 2^N - 1. Capped at MAX_RATES rates.
     """
     rates = tuple(rates)
     n = len(rates)
@@ -56,10 +63,16 @@ def subset_rate_sums(rates: Sequence[float]):
         raise UnsupportedSizeError(
             f"subset enumeration supports at most {MAX_RATES} rates, got {n}; "
             "use the Monte Carlo engine for larger networks")
+    groups: dict = {}
+    for r in rates:
+        groups[r] = groups.get(r, 0) + 1
     out = []
-    for m in range(1, n + 1):
-        for comb in combinations(range(n), m):
-            out.append((m, math.fsum(rates[i] for i in comb)))
+    for picks in product(*(range(size + 1) for size in groups.values())):
+        m = sum(picks)
+        if m:
+            count = math.prod(math.comb(size, j) for size, j in zip(groups.values(), picks))
+            rate_sum = math.fsum(r for r, j in zip(groups, picks) for _ in range(j))
+            out.append((m, rate_sum, count))
     return out
 
 
@@ -73,8 +86,8 @@ def max_exp_cdf(rates: Sequence[float], x: float) -> float:
     if x < 0:
         raise ValueError(f"evaluation point must be >= 0, got {x!r}")
     terms = [1.0]
-    for m, s in subset_rate_sums(rates):
-        terms.append((-1.0) ** m * math.exp(-x * s))
+    for m, s, count in subset_rate_sums(rates):
+        terms.append(count * (-1.0) ** m * math.exp(-x * s))
     return min(1.0, max(0.0, math.fsum(terms)))
 
 
@@ -140,7 +153,8 @@ def excl_max_pdf(rates: Sequence[float], k: int) -> ExpMixture:
 
     Differentiating the inclusion-exclusion CDF gives terms
     (-1)^(m+1) * s * exp(-s*x) over the nonempty subsets of the remaining
-    rates, with s the subset rate sum.
+    rates, with s the subset rate sum; the subsets of one sub-multiset share
+    one term weighted by their count.
     """
     rates = _validate_rates(rates)
     if not 0 <= k < len(rates):
@@ -150,7 +164,8 @@ def excl_max_pdf(rates: Sequence[float], k: int) -> ExpMixture:
             "excluding the only rate leaves nothing to take a maximum over; "
             "single-relay networks are handled by the dedicated closed form")
     others = rates[:k] + rates[k + 1:]
-    terms = tuple(((-1.0) ** (m + 1) * s, s) for m, s in subset_rate_sums(others))
+    terms = tuple((count * (-1.0) ** (m + 1) * s, s)
+                  for m, s, count in subset_rate_sums(others))
     return ExpMixture(terms)
 
 

@@ -278,15 +278,19 @@ def estimate_sop_grid(configs, scheme_targets, settings: McSettings,
         scratch = [np.empty((rows, n)), np.empty((rows, n)), np.empty(rows),
                    np.empty((rows, n)), np.empty(rows)]
         counts = np.zeros((len(configs), len(pairs)), dtype=np.int64)
-        while True:
-            with lock:
-                task = next(todo, None)
-            if task is None:
-                return counts
-            state, size, lo, b = task
-            block = _unit_rows(gen, state, size, n, lo, unit[:b * (3 * n + 2)])
-            for k, config_rates in enumerate(rates):
-                _block_counts(_rescale(block, config_rates, scratch), by_scheme, counts[k])
+        # a subnormal link rate turns some draws into infinite SNRs, which
+        # the reductions handle; numpy's overflow warning says nothing more
+        with np.errstate(over="ignore"):
+            while True:
+                with lock:
+                    task = next(todo, None)
+                if task is None:
+                    return counts
+                state, size, lo, b = task
+                block = _unit_rows(gen, state, size, n, lo, unit[:b * (3 * n + 2)])
+                for k, config_rates in enumerate(rates):
+                    _block_counts(_rescale(block, config_rates, scratch), by_scheme,
+                                  counts[k])
 
     threads = min(workers, len(blocks))
     if threads > 1:

@@ -1,15 +1,26 @@
+import csv
+import functools
+import itertools
 import math
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from relaysop.analytic import (diversity_slope, max_e_breakdown,
+import relaysop.analytic as analytic
+from relaysop.analytic import (_escalating_sum, diversity_slope, max_e_breakdown,
                                min_e_breakdown, slope_between, sop_analytic,
                                sop_max_e, sop_max_mrc, sop_min_e, sop_mrc_mrc)
-from relaysop.errors import SlopeUndefinedError, UnsupportedSizeError
+from relaysop.errors import (ConvergenceError, SlopeUndefinedError,
+                             UnsupportedSizeError)
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import McSettings, estimate_sop
 from relaysop.presets import family_config
 from relaysop.quadrature import sop_quadrature
+from relaysop.sweep import _fmt, config_at, parse_sweep_spec, run_sweep
+
+REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+             / "closed-form.csv")
 
 SEED = 20250809
 
@@ -220,3 +231,129 @@ class TestDiversitySlope:
         s4 = diversity_slope(Scheme.MAX_MRC,
                              lambda s: family_config("fig4", 4, s), t, 30.0, 40.0)
         assert s4 - s2 >= 0.5
+
+
+def _equal_split_spec(n, relays_e_db):
+    """The benchmark's N 5-8 closed-form networks: equal-split dual hops,
+    direct links at 3 and 0 dB, taps at relays_e_db."""
+    return parse_sweep_spec({
+        "n_relays": n,
+        "snr_db": {"start": 0.0, "stop": 80.0, "step": 80.0},
+        "rs_values": [0.0, 1.0], "schemes": [s.value for s in Scheme],
+        "engines": ["analytic"],
+        "links": {"s_relays": {"policy": "equal-split"},
+                  "relays_d": {"policy": "equal-split"},
+                  "s_d": {"policy": "fixed-db", "mean_snr_db": 3.0},
+                  "relays_e": {"policy": "fixed-db", "mean_snr_db": relays_e_db},
+                  "s_e": {"policy": "fixed-db", "mean_snr_db": 0.0}}})
+
+
+class TestReferenceBytes:
+    """The closed forms reproduce the recorded reference CSV text exactly."""
+
+    def test_identical_and_laddered_taps_at_n5_to_8(self):
+        with open(REFERENCE, newline="") as fh:
+            want = {(r["file"], r["snr_db"], r["scheme"], r["rs"]): r["sop"]
+                    for r in csv.DictReader(fh) if r["engine"] == "analytic"}
+        got = {}
+        for n in (5, 6, 7, 8):
+            for stem, taps in (("identical", 3.0), ("laddered", [float(k) for k in range(n)])):
+                spec = _equal_split_spec(n, taps)
+                for snr in (0.0, 80.0):
+                    config = config_at(spec, snr)
+                    for scheme in Scheme:
+                        for rs in (0.0, 1.0):
+                            value = sop_analytic(config, scheme, SecrecyTarget(rs)).value
+                            got[(f"{stem}_n{n}.csv", _fmt(snr), scheme.value,
+                                 _fmt(rs))] = _fmt(value)
+        assert len(got) == 128
+        assert got == {key: want[key] for key in got}
+
+
+class TestRelayPermutations:
+    """Relabelling the relays changes no bit of the selection and max-mrc
+    values, also when equal taps sit apart or share a tap but not a hop."""
+
+    @staticmethod
+    def _permuted(cfg, order):
+        pick = lambda values: tuple(values[i] for i in order)  # noqa: E731
+        return NetworkConfig(cfg.n_relays, pick(cfg.beta_sk), pick(cfg.beta_kd),
+                             cfg.beta_sd, pick(cfg.alpha_ke), cfg.alpha_se)
+
+    @pytest.mark.parametrize("cfg", [
+        # taps [a, x, a] with equal dual hops: relays 0 and 2 are one class
+        NetworkConfig(3, (0.02, 0.05, 0.02), (0.03, 0.01, 0.03), 0.5,
+                      (1.3, 0.4, 1.3), 0.9),
+        # relays 0 and 2 share a tap but not a dual hop: two classes
+        NetworkConfig(3, (0.02, 0.05, 0.02), (0.03, 0.03, 0.07), 0.5,
+                      (1.3, 0.4, 1.3), 0.9),
+        NetworkConfig(4, (0.1, 0.1, 0.2, 0.1), (0.1, 0.1, 0.2, 0.1), 0.5,
+                      (0.7, 0.7, 0.7, 2.1), 1.0),
+    ])
+    def test_bit_identical_under_every_permutation(self, cfg):
+        for rs in (0.0, 1.0):
+            target = SecrecyTarget(rs)
+            for fn in (sop_max_e, sop_min_e, sop_max_mrc):
+                want = fn(cfg, target).value
+                for order in itertools.permutations(range(cfg.n_relays)):
+                    assert fn(self._permuted(cfg, order), target).value == want
+
+    def test_breakdown_keeps_one_tuple_per_relay(self):
+        cfg = NetworkConfig(3, (0.02, 0.05, 0.02), (0.03, 0.03, 0.07), 0.5,
+                            (1.3, 0.4, 1.3), 0.9)
+        target = SecrecyTarget(0.5)
+        for breakdown in (max_e_breakdown, min_e_breakdown):
+            br = breakdown(cfg, target)
+            assert len(br.per_relay) == 3
+            # same tap, different dual hop: not one relay class
+            assert br.per_relay[0] != br.per_relay[2]
+            swapped = breakdown(self._permuted(cfg, (2, 1, 0)), target)
+            assert swapped.per_relay == br.per_relay[::-1]
+            assert swapped.total == br.total
+
+
+class TestPrecisionExhaustion:
+    def test_sum_that_never_clears_its_guard_raises(self):
+        # 1 - 1 is 0 at every precision: the total never stands clear of the
+        # rounding bound of its unit addends
+        with pytest.raises(ConvergenceError) as info:
+            _escalating_sum(lambda: [(1, mp.mpf(1)), (1, mp.mpf(-1))], 15)
+        assert info.value.estimate == 0.0
+        assert 0.0 < info.value.error_bound < 1e-60
+
+    def test_weighted_addend_equals_its_repeats(self):
+        def build():
+            return [(70, mp.mpf(1) / 3), (1, -mp.mpf(2) / 7)]
+        with mp.workdps(30):
+            third = mp.mpf(1) / 3
+            want = float(mp.fsum([third] * 70 + [-mp.mpf(2) / 7]))
+        assert _escalating_sum(build, 30) == want
+
+    def test_weights_keep_the_escalation_of_the_expanded_sum(self):
+        # 1000 copies of +1 and -1 leave 1e-9: clear of the bound of a unit
+        # addend at 25 digits, but not of a bound scaled by the weight 1000
+        def sum_of(pairs):
+            rounds = []
+
+            def build():
+                rounds.append(mp.mp.dps)
+                return [(count, mp.mpf(t)) for count, t in pairs]
+            return _escalating_sum(build, 25), rounds
+
+        weighted = sum_of([(1000, 1), (1000, -1), (1, "1e-9")])
+        expanded = sum_of([(1, 1)] * 1000 + [(1, -1)] * 1000 + [(1, "1e-9")])
+        assert weighted == expanded == (1e-9, [25])
+
+    def test_exhaustion_reaches_the_row_status(self, monkeypatch):
+        # with identical taps at N=2, max-mrc at 80 dB needs a second
+        # precision round; at 0 dB and for max-e one round is enough
+        monkeypatch.setattr(analytic, "_escalating_sum",
+                            functools.partial(_escalating_sum, max_rounds=1))
+        cfg = family_config("fig2", 2, 80.0)
+        with pytest.raises(ConvergenceError):
+            sop_max_mrc(cfg, SecrecyTarget(0.0))
+        rows = {(r.snr_db, r.scheme, r.rs): (r.status, r.sop)
+                for r in run_sweep(_equal_split_spec(2, 3.0))}
+        assert rows[(80.0, Scheme.MAX_MRC, 0.0)] == ("convergence-failure", None)
+        assert rows[(0.0, Scheme.MAX_MRC, 0.0)][0] == "ok"
+        assert rows[(80.0, Scheme.MAX_E, 0.0)][0] == "ok"

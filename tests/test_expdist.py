@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import integrate
 from relaysop.errors import EmptyExclusionError, UnsupportedSizeError
 from relaysop.expdist import (EPS_EQUAL_RATE, excl_max_pdf, excl_min_rate,
                               hypoexp_cdf, hypoexp_pdf, max_exp_cdf,
-                              spread_rates, sum_pair_coeffs)
+                              spread_rates, subset_rate_sums, sum_pair_coeffs)
 
 
 def product_cdf(rates, x):
@@ -21,6 +23,40 @@ def random_rate_sets(rng, cases, max_n=8):
     for _ in range(cases):
         n = int(rng.integers(1, max_n + 1))
         yield list(np.exp(rng.uniform(-2.3, 2.3, n)))
+
+
+class TestSubsetRateSums:
+    @staticmethod
+    def brute_force(rates):
+        """(size, rate sum) -> number of nonempty index subsets."""
+        return Counter((m, math.fsum(rates[i] for i in comb))
+                       for m in range(1, len(rates) + 1)
+                       for comb in combinations(range(len(rates)), m))
+
+    @pytest.mark.parametrize("rates", [
+        [0.3], [0.3] * 8, [0.5, 1.5, 2.5], [0.7, 0.1, 0.7, 0.2, 0.1, 0.7],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],  # distinct, colliding sums
+        [0.1, 0.2, 0.1, 0.2, 0.1, 0.2, 0.1, 0.2],
+    ])
+    def test_matches_subset_enumeration(self, rates):
+        got = subset_rate_sums(rates)
+        n = len(rates)
+        assert sum(count for _, _, count in got) == 2 ** n - 1
+        groups = Counter(rates).values()
+        assert len(got) == math.prod(g + 1 for g in groups) - 1
+        merged = Counter()
+        for m, s, count in got:
+            merged[(m, s)] += count
+        assert merged == self.brute_force(rates)
+
+    def test_identical_rates_need_n_terms(self):
+        got = subset_rate_sums([0.4] * 7)
+        assert [(m, count) for m, _, count in got] == [
+            (m, math.comb(7, m)) for m in range(1, 8)]
+
+    def test_cap(self):
+        with pytest.raises(UnsupportedSizeError):
+            subset_rate_sums([1.0] * 9)
 
 
 class TestMaxExpCdf:
