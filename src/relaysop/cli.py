@@ -1,7 +1,10 @@
 """Command-line front end: eval, sweep, reproduce, slope.
 
-Exit codes: 0 success, 1 engine error (no convergence, undefined slope,
-failed sweep rows), 2 input validation error.
+`eval` configs and sweep specs go through the one link parser of `sweep`;
+`reproduce` runs the figure presets as sweeps, writes a wide CSV per figure
+and a report of the claims in `claims`. Exit codes: 0 success, 1 engine
+error (no convergence, undefined slope, failed sweep rows; a failed claim
+alone still exits 0), 2 input validation error.
 """
 
 from __future__ import annotations
@@ -9,19 +12,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
-from .analytic import diversity_slope, slope_between, sop_analytic
+from .analytic import diversity_slope, sop_analytic
+from .claims import analytic_table, figure_report
 from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
-from .model import NetworkConfig, Scheme, SecrecyTarget, db_to_rate, validate_config
+from .model import NetworkConfig, Scheme, SecrecyTarget, require_valid
 from .montecarlo import McSettings, estimate_sop
 from .presets import FIGURE_PRESETS, figure_sweep_specs
 from .quadrature import QuadSettings, sop_quadrature
-from .sweep import (CSV_HEADER, LINK_GROUPS, SpecValidationError, _fmt,
-                    _is_int, _is_number, config_at, parse_sweep_spec,
-                    run_sweep, snr_grid, write_rows)
+from .sweep import (CSV_HEADER, FIXED_POLICIES, SpecValidationError, _fmt,
+                    _is_int, _is_number, config_at, config_from_links,
+                    parse_links, parse_sweep_spec, run_sweep, write_rows)
 
 _ENGINE_FLAGS = ("analytic", "mc", "quad")
 
@@ -44,69 +47,23 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _link_values(data, group: str, n: int, violations):
-    """One link group from a config file: mean_snr_db or rate, scalar or list."""
-    where = f"links.{group}"
-    if not isinstance(data, dict):
-        violations.append(f"{where}: expected an object")
-        return None
-    keys = [k for k in ("mean_snr_db", "rate") if k in data]
-    if len(keys) != 1:
-        violations.append(f"{where}: give exactly one of mean_snr_db or rate")
-        return None
-    key = keys[0]
-    raw = data[key]
-    vals = raw if isinstance(raw, (list, tuple)) else [raw]
-    expected = n if group in ("s_relays", "relays_d", "relays_e") else 1
-    if len(vals) == 1:
-        vals = list(vals) * expected
-    if len(vals) != expected:
-        violations.append(f"{where}.{key}: length mismatch, expected {expected} "
-                          f"entries, got {len(vals)}")
-        return None
-    rates = []
-    for i, v in enumerate(vals):
-        if not _is_number(v):
-            violations.append(f"{where}.{key}[{i}]: must be a finite number, got {v!r}")
-            return None
-        if key == "rate":
-            if v <= 0:
-                violations.append(f"{where}.{key}[{i}]: rate must be strictly "
-                                  f"positive, got {v!r}")
-                return None
-            rates.append(float(v))
-        else:
-            rates.append(db_to_rate(v))
-    return tuple(rates)
-
-
 def load_network_config(path: str) -> NetworkConfig:
+    """An eval config: n_relays and a `links` object, parsed as the links of
+    a sweep spec. It has no SNR axis, so every group takes a fixed policy,
+    for short {"mean_snr_db": ...} (fixed-db) or {"rate": ...} (fixed-rate)."""
     data = _load_json(path)
-    violations: list = []
     n = data.get("n_relays")
     if not _is_int(n) or n < 1:
-        violations.append(f"n_relays: must be a positive integer, got {n!r}")
-        raise CliValidationError("; ".join(violations))
-    links = data.get("links")
-    if not isinstance(links, dict):
-        raise CliValidationError("links: required object with one entry per link group")
-    groups = {}
-    for group in LINK_GROUPS:
-        if group not in links:
-            violations.append(f"links.{group}: missing")
-            continue
-        vals = _link_values(links[group], group, n, violations)
-        if vals is not None:
-            groups[group] = vals
+        raise CliValidationError(f"n_relays: must be a positive integer, got {n!r}")
+    violations: list = []
+    links = parse_links(data.get("links"), n, violations)
+    violations += [f"links.{group}: an eval config has no SNR axis; give "
+                   f"mean_snr_db or rate" for group, pol in links.items()
+                   if pol.kind not in FIXED_POLICIES]
     if violations:
-        raise CliValidationError("; ".join(violations))
-    config = NetworkConfig(
-        n_relays=n, beta_sk=groups["s_relays"], beta_kd=groups["relays_d"],
-        beta_sd=groups["s_d"][0], alpha_ke=groups["relays_e"],
-        alpha_se=groups["s_e"][0])
-    problems = validate_config(config)
-    if problems:
-        raise CliValidationError("; ".join(problems))
+        raise SpecValidationError(violations)
+    config = config_from_links(links, n, 0.0)  # no policy reads the axis
+    require_valid(config)
     return config
 
 
@@ -130,15 +87,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _specs_by_count(data: dict, **defaults):
+    """(n, SweepSpec) per relay count of a spec whose n_relays may be a list."""
+    counts = data.get("n_relays")
+    for n in counts if isinstance(counts, list) else [counts]:
+        yield n, parse_sweep_spec({**defaults, **data, "n_relays": n})
+
+
 def _cmd_sweep(args) -> int:
     data = _load_json(args.spec)
-    n_values = data.get("n_relays")
-    multi = isinstance(n_values, list)
+    multi = isinstance(data.get("n_relays"), list)
     status_ok = True
-    for n in (n_values if multi else [n_values]):
-        payload = dict(data)
-        payload["n_relays"] = n
-        spec = parse_sweep_spec(payload)
+    for n, spec in _specs_by_count(data):
         rows = run_sweep(spec, workers=args.workers)
         out = args.out
         if multi:
@@ -151,115 +111,6 @@ def _cmd_sweep(args) -> int:
             print(f"{out}: {len(bad)} of {len(rows)} rows failed "
                   f"({bad[0].status}, ...)", file=sys.stderr)
     return 0 if status_ok else 1
-
-
-def _check(report, ok: bool, text: str):
-    report.append(f"{'PASS' if ok else 'FAIL'}: {text}")
-    return ok
-
-
-def _fig2_claims(tables, specs, report):
-    grid = snr_grid(specs[0][1])
-    schemes = specs[0][1].schemes
-    rs_values = specs[0][1].rs_values
-    ns = [spec.n_relays for _, spec in specs]
-    ok = True
-    for scheme, direction in ((Scheme.MAX_E, 1), (Scheme.MIN_E, -1)):
-        mono = all(
-            direction * (tables[i + 1][(s, scheme, rs)] - tables[i][(s, scheme, rs)]) > 0
-            for i in range(len(ns) - 1)
-            for s in grid if s >= 5.0 for rs in rs_values)
-        word = "increases" if direction > 0 else "decreases"
-        ok &= _check(report, mono,
-                     f"{scheme.value} SOP strictly {word} with relay count at "
-                     f"every axis point >= 5 dB")
-    rs_mono = all(
-        tables[i][(s, scheme, 1.0)] > tables[i][(s, scheme, 0.0)]
-        for i in range(len(ns)) for s in grid for scheme in schemes)
-    ok &= _check(report, rs_mono, "SOP at rs=1 exceeds SOP at rs=0 everywhere")
-    gaps = all(
-        abs(tables[i + 2][(s, scheme, rs)] - tables[i + 1][(s, scheme, rs)])
-        < abs(tables[i + 1][(s, scheme, rs)] - tables[i][(s, scheme, rs)])
-        for i in range(len(ns) - 2)
-        for s in grid if s >= 5.0 for scheme in schemes for rs in rs_values)
-    ok &= _check(report, gaps, "curve-to-curve gaps shrink as the relay count grows")
-    return ok
-
-
-def _fig3_claims(tables_by_label, specs, report):
-    """Unbalanced: the SOP approaches a positive floor F, the SOP with the
-    swept relay-destination hop gone (taken at 100 dB), and its gap above F
-    at the top of the sweep is the dual-hop rate ratio lambda_RD/lambda_SR
-    to first order (within 10%). Balanced: no floor, still falling > 10%
-    over the last step."""
-    ok = True
-    for label, spec in specs:
-        table = tables_by_label[label]
-        grid = snr_grid(spec)
-        lo_db, hi_db = grid[-2], grid[-1]
-        for scheme in spec.schemes:
-            for rs in spec.rs_values:
-                hi = table[(hi_db, scheme, rs)]
-                if label == "balanced":
-                    change = abs(table[(lo_db, scheme, rs)] - hi) / hi
-                    ok &= _check(report, change > 0.10,
-                                 f"{label} {scheme.value} rs={rs:g} keeps falling: "
-                                 f"relative change {change:.4f} > 0.10")
-                    continue
-                top = config_at(spec, hi_db)
-                predicted = top.beta_kd[0] / top.beta_sk[0]
-                floor = sop_analytic(config_at(spec, 100.0), scheme,
-                                     SecrecyTarget(rs)).value
-                gap = (hi - floor) / floor if floor > 0 else math.inf
-                ok &= _check(report, abs(gap - predicted) <= 0.10 * predicted,
-                             f"{label} {scheme.value} rs={rs:g} approaches a floor: "
-                             f"F = {floor:.6g}, (SOP({hi_db:g})-F)/F = {gap:.4f} "
-                             f"~ lambda_RD/lambda_SR = {predicted:.4f}")
-    return ok
-
-
-def _fig4_claims(tables, specs, report):
-    """mrc-mrc >= max-mrc at every point; max-e >= mrc-mrc and
-    min-e >= max-mrc cross once: they hold at the top of the sweep and never
-    revert once they hold as SNR rises."""
-    ok = True
-    orderings = ((Scheme.MRC_MRC, Scheme.MAX_MRC, True),
-                 (Scheme.MAX_E, Scheme.MRC_MRC, False),
-                 (Scheme.MIN_E, Scheme.MAX_MRC, False))
-    for (label, spec), table in zip(specs, tables):
-        grid = snr_grid(spec)
-        for rs in spec.rs_values:
-            for upper, lower, sure in orderings:
-                holds = [table[(s, upper, rs)] >= table[(s, lower, rs)] - 1e-12
-                         for s in grid]
-                name = f"{label} rs={rs:g} {upper.value} >= {lower.value}"
-                if sure:
-                    ok &= _check(report, all(holds), f"{name} at every grid point")
-                    continue
-                since = holds.index(True) if True in holds else len(holds)
-                single = holds[-1] and all(holds[since:])
-                where = (f"from {grid[since]:g} dB up" if since < len(grid)
-                         else "nowhere")
-                ok &= _check(report, single,
-                             f"{name} crosses once and holds {where}")
-    return ok
-
-
-def _slope_lines(figure, specs, tables, report):
-    """Slopes over [30, 40] dB from the analytic values the sweep already holds."""
-    report.append("")
-    report.append("diversity slopes over [30, 40] dB:")
-    for (label, spec), table in zip(specs, tables):
-        for scheme in spec.schemes:
-            for rs in spec.rs_values:
-                try:
-                    slope = slope_between(table[(30.0, scheme, rs)],
-                                          table[(40.0, scheme, rs)], 30.0, 40.0)
-                    report.append(f"  {figure} {label} {scheme.value} rs={rs:g}: "
-                                  f"slope={slope:.4f}")
-                except SlopeUndefinedError:
-                    report.append(f"  {figure} {label} {scheme.value} rs={rs:g}: "
-                                  f"slope undefined (SOP underflow)")
 
 
 _WIDE_HEADER = ("figure", "variant", "n_relays", "snr_db", "scheme", "rs",
@@ -302,26 +153,14 @@ def _cmd_reproduce(args) -> int:
                                    engines=engines)
         labeled_rows = []
         tables = []
-        tables_by_label = {}
         for label, spec in specs:
             rows = run_sweep(spec, workers=args.workers)
             engines_ok &= all(r.status == "ok" for r in rows)
             labeled_rows.append((label, spec.n_relays, rows))
-            table = {(r.snr_db, r.scheme, r.rs): r.sop
-                     for r in rows if r.status == "ok" and r.engine == "analytic"}
-            tables.append(table)
-            tables_by_label[label] = table
+            tables.append(analytic_table(rows))
         _write_wide_csv(os.path.join(args.out_dir, f"{figure}.csv"),
                         figure, labeled_rows)
-        report = [f"{figure} qualitative checks"]
-        if figure == "fig2":
-            _fig2_claims(tables, specs, report)
-        elif figure == "fig3":
-            _fig3_claims(tables_by_label, specs, report)
-        else:
-            _fig4_claims(tables, specs, report)
-        _slope_lines(figure, specs, tables, report)
-        text = "\n".join(report) + "\n"
+        text = "\n".join(figure_report(figure, specs, tables)) + "\n"
         with open(os.path.join(args.out_dir, f"{figure}_report.txt"), "w") as fh:
             fh.write(text)
         print(text, end="")
@@ -330,9 +169,6 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_slope(args) -> int:
     data = _load_json(args.spec)
-    n_values = data.get("n_relays")
-    if not isinstance(n_values, list):
-        n_values = [n_values]
     slope_cfg = data.get("slope", {})
     if not isinstance(slope_cfg, dict):
         raise CliValidationError(f"slope: expected an object, got {slope_cfg!r}")
@@ -343,11 +179,7 @@ def _cmd_slope(args) -> int:
             raise CliValidationError(f"slope.{key}: must be a finite number, got {val!r}")
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["scheme", "n_relays", "rs", "slope"])
-    for n in n_values:
-        payload = dict(data)
-        payload["n_relays"] = n
-        payload.setdefault("engines", ["analytic"])
-        spec = parse_sweep_spec(payload)
+    for n, spec in _specs_by_count(data, engines=["analytic"]):
         for scheme in spec.schemes:
             for rs in spec.rs_values:
                 slope = diversity_slope(

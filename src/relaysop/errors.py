@@ -1,18 +1,14 @@
 """Exception types shared across the engines."""
 
 
-class EmptyExclusionError(ValueError):
-    """Exclusion order statistic requested over a single-element list."""
-
-
 class UnsupportedSizeError(ValueError):
     """Relay count exceeds what the closed-form engines accept.
 
     Analytic max-e and max-mrc enumerate the sub-multisets of the
     eavesdropper rates: up to 2^N - 1 of them when every rate differs. The
-    analytic and quadrature engines share a cap of N = 8, although only
-    those two closed forms enumerate subsets. The Monte Carlo engine has no
-    cap.
+    analytic and quadrature engines share a cap of N = 8
+    (`expdist.MAX_RATES`), although only those two closed forms enumerate
+    subsets. The Monte Carlo engine has no cap.
     """
 
 

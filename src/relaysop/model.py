@@ -41,23 +41,6 @@ def db_to_rate(mean_snr_db: float) -> float:
                          f"10^(-dB/10) overflows a float") from None
 
 
-def dual_hop_snr(gamma_sk: float, gamma_kd: float) -> float:
-    """Effective SNR of a decode-and-forward hop pair: min of the two hops."""
-    if gamma_sk < 0 or gamma_kd < 0:
-        raise ValueError("link SNRs must be nonnegative")
-    return min(gamma_sk, gamma_kd)
-
-
-def secrecy_rate(gamma_m: float, gamma_e: float) -> float:
-    """Achievable secrecy rate 0.5*log2((1+gamma_m)/(1+gamma_e)), clamped at 0.
-
-    The 1/2 accounts for the two time slots of the relayed transmission.
-    """
-    if gamma_m < 0 or gamma_e < 0:
-        raise ValueError("SNRs must be nonnegative")
-    return max(0.0, 0.5 * math.log2((1.0 + gamma_m) / (1.0 + gamma_e)))
-
-
 @dataclass(frozen=True)
 class SecrecyTarget:
     """Secrecy-rate threshold rs (bits per channel use) and rho = 2^(2*rs).

@@ -31,28 +31,6 @@ _Z95 = 1.96  # normal 95% two-sided quantile used for the reported half-width
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of all 3N+2 instantaneous link SNRs."""
-
-    gamma_sk: tuple
-    gamma_kd: tuple
-    gamma_sd: float
-    gamma_ke: tuple
-    gamma_se: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_sk", tuple(float(x) for x in self.gamma_sk))
-        object.__setattr__(self, "gamma_kd", tuple(float(x) for x in self.gamma_kd))
-        object.__setattr__(self, "gamma_ke", tuple(float(x) for x in self.gamma_ke))
-        for name in ("gamma_sk", "gamma_kd", "gamma_ke"):
-            for v in getattr(self, name):
-                if v < 0 or not math.isfinite(v):
-                    raise ValueError(f"{name} entries must be finite and >= 0")
-        if self.gamma_sd < 0 or self.gamma_se < 0:
-            raise ValueError("direct-link SNRs must be >= 0")
-
-
-@dataclass(frozen=True)
 class McSettings:
     """Trial count, base seed and chunk size of a Monte Carlo run."""
 
@@ -67,43 +45,6 @@ class McSettings:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
-
-
-def _inv_exp(u01, rate):
-    """Inverse-CDF exponential draw from u01 in [0,1): -ln(1-u01)/rate."""
-    return -np.log1p(-u01) / rate
-
-
-def sample_realization(config: NetworkConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one realization; link order sk[0..N), kd[0..N), sd, ke[0..N), se."""
-    n = config.n_relays
-    gsk = [float(_inv_exp(rng.random(), config.beta_sk[i])) for i in range(n)]
-    gkd = [float(_inv_exp(rng.random(), config.beta_kd[i])) for i in range(n)]
-    gsd = float(_inv_exp(rng.random(), config.beta_sd))
-    gke = [float(_inv_exp(rng.random(), config.alpha_ke[i])) for i in range(n)]
-    gse = float(_inv_exp(rng.random(), config.alpha_se))
-    return ChannelRealization(gsk, gkd, gsd, gke, gse)
-
-
-def run_scheme(r: ChannelRealization, scheme: Scheme):
-    """Combined (gamma_m, gamma_e) at destination and eavesdropper.
-
-    Selection ties break toward the lowest relay index.
-    """
-    n = len(r.gamma_ke)
-    gkd_eff = [min(s, d) for s, d in zip(r.gamma_sk, r.gamma_kd)]
-    if scheme is Scheme.MAX_E:
-        k = max(range(n), key=lambda i: r.gamma_ke[i])
-        return r.gamma_sd + gkd_eff[k], r.gamma_se + r.gamma_ke[k]
-    if scheme is Scheme.MIN_E:
-        k = min(range(n), key=lambda i: r.gamma_ke[i])
-        return r.gamma_sd + gkd_eff[k], r.gamma_se + r.gamma_ke[k]
-    gm = r.gamma_sd + math.fsum(gkd_eff)
-    if scheme is Scheme.MAX_MRC:
-        return gm, r.gamma_se + max(r.gamma_ke)
-    if scheme is Scheme.MRC_MRC:
-        return gm, r.gamma_se + math.fsum(r.gamma_ke)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 #: float64 values of unit exponentials in one block; a block and one config's
@@ -132,10 +73,10 @@ def _unit_rows(gen, state: dict, size: int, n: int, lo: int, out):
     (sk, kd, sd, ke, se).
 
     The chunk's stream holds each link group's values for all its rows in
-    turn (sk, kd, sd, ke, se, as one rng.random call per group in the link
-    order of sample_realization would read them); each group of the block is
-    read from its place in that stream by advancing gen from `state`, so a
-    block costs the same whichever rows it holds.
+    turn (sk, kd, sd, ke, se, as one rng.random call per group in that
+    link order would read them); each group of the block is read from its
+    place in that stream by advancing gen from `state`, so a block costs the
+    same whichever rows it holds.
     """
     b = len(out) // (3 * n + 2)
     groups = []
@@ -161,7 +102,8 @@ def _rates(config: NetworkConfig):
 
 
 def _sample_chunk(config: NetworkConfig, seed: int, chunk_index: int, n_trials: int):
-    """Vectorized draw of a whole chunk, same link order as sample_realization."""
+    """Vectorized draw of a whole chunk: the link SNR arrays (gsk, gkd, gsd,
+    gke, gse)."""
     n = config.n_relays
     unit = _unit_rows(_generator(), _chunk_state(seed, chunk_index), n_trials, n, 0,
                       np.empty(n_trials * (3 * n + 2)))
@@ -175,9 +117,9 @@ def _shared_snrs(arrays, out=None):
 
 
 def _reductions(shared, schemes):
-    """Yield (scheme, gamma_M, gamma_E) of each scheme, vectorized run_scheme.
+    """Yield (scheme, gamma_M, gamma_E) of each scheme, one value per row.
 
-    The argmax pick of gke serves both max-e and max-mrc, and the row sum of
+    Selection ties break toward the lowest relay index. The argmax pick of gke serves both max-e and max-mrc, and the row sum of
     gkd_eff both MRC schemes; each is computed once, on first use.
     """
     gkd_eff, gsd, gke, gse = shared
@@ -203,7 +145,7 @@ def _reductions(shared, schemes):
 
 
 def _scheme_snrs(shared, scheme: Scheme):
-    """Vectorized run_scheme over the shared arrays of a sampled chunk."""
+    """(gamma_M, gamma_E) of one scheme over the shared arrays of a chunk."""
     _, gm, ge = next(_reductions(shared, [scheme]))
     return gm, ge
 

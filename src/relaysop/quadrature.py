@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from .errors import ConvergenceError, UnsupportedSizeError
+from .expdist import MAX_RATES
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
                     require_valid)
 
 _GROUP_EPS = 1e-9  # rates this close (relative) are integrated as exactly equal
-_MAX_RELAYS = 8
 
 
 @dataclass(frozen=True)
@@ -272,9 +272,9 @@ def sop_quadrature(config: NetworkConfig, scheme: Scheme, target: SecrecyTarget,
                    settings: QuadSettings = QuadSettings()) -> SopResult:
     """SOP by adaptive quadrature of the defining probability integral."""
     require_valid(config)
-    if config.n_relays > _MAX_RELAYS:
+    if config.n_relays > MAX_RATES:
         raise UnsupportedSizeError(
-            f"the quadrature engine supports at most {_MAX_RELAYS} relays, got "
+            f"the quadrature engine supports at most {MAX_RATES} relays, got "
             f"{config.n_relays}; use the Monte Carlo engine")
     if scheme is Scheme.MAX_E:
         val, err = _selection_integral(config, target, settings, minimize=False)

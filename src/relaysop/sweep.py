@@ -28,7 +28,11 @@ LINK_GROUPS = ("s_relays", "relays_d", "s_d", "relays_e", "s_e")
 _RELAY_GROUPS = frozenset({"s_relays", "relays_d", "relays_e"})
 _HOP_GROUPS = frozenset({"s_relays", "relays_d"})
 ENGINE_NAMES = ("analytic", "mc", "quad")
-POLICY_KINDS = ("fixed-db", "fraction-of-axis", "equal-split")
+#: each policy with its value key; equal-split takes no values
+POLICY_KEYS = {"fixed-db": "mean_snr_db", "fixed-rate": "rate",
+               "fraction-of-axis": "fraction", "equal-split": None}
+#: the policies that do not depend on the axis SNR
+FIXED_POLICIES = ("fixed-db", "fixed-rate")
 
 CSV_HEADER = ("snr_db", "scheme", "rs", "engine", "sop", "ci_halfwidth",
               "trials", "seed", "status")
@@ -47,6 +51,8 @@ class LinkPolicy:
     """How one link group's mean SNRs derive from the axis SNR.
 
     fixed-db: values are mean SNRs in dB, constant across the axis.
+    fixed-rate: values are exponential rates (linear scale), constant
+    across the axis.
     fraction-of-axis: values are linear-scale fractions of the axis mean SNR.
     equal-split: the axis mean SNR is divided equally between the two relay
     hops (mean = axis/2 in linear scale); hop groups only, no values.
@@ -66,24 +72,36 @@ class LinkPolicy:
             vals = vals * count
         if self.kind == "fixed-db":
             return tuple(db_to_rate(v) for v in vals)
+        if self.kind == "fixed-rate":
+            return vals
         return tuple(db_to_rate(snr_db) / f for f in vals)  # fraction-of-axis
 
 
-def _parse_policy(group: str, data, violations) -> Optional[LinkPolicy]:
+def _parse_policy(group: str, data, n_relays: int, violations) -> Optional[LinkPolicy]:
+    """One link object: a named policy, or the fixed shorthand without one,
+    {"mean_snr_db": ...} (fixed-db) or {"rate": ...} (fixed-rate)."""
     where = f"links.{group}"
     if not isinstance(data, dict):
         violations.append(f"{where}: expected an object")
         return None
     kind = data.get("policy")
-    if kind not in POLICY_KINDS:
-        violations.append(f"{where}.policy: expected one of {POLICY_KINDS}, got {kind!r}")
+    if kind is None:
+        kinds = [k for k in FIXED_POLICIES if POLICY_KEYS[k] in data]
+        if len(kinds) != 1:
+            violations.append(f"{where}: give a policy, or exactly one of "
+                              f"mean_snr_db or rate")
+            return None
+        kind = kinds[0]
+    if not isinstance(kind, str) or kind not in POLICY_KEYS:
+        violations.append(f"{where}.policy: expected one of {tuple(POLICY_KEYS)}, "
+                          f"got {kind!r}")
         return None
     if kind == "equal-split":
         if group not in _HOP_GROUPS:
             violations.append(f"{where}: equal-split applies only to relay hop groups")
             return None
         return LinkPolicy(kind)
-    key = "mean_snr_db" if kind == "fixed-db" else "fraction"
+    key = POLICY_KEYS[kind]
     raw = data.get(key)
     if raw is None:
         violations.append(f"{where}.{key}: required for policy {kind}")
@@ -94,10 +112,34 @@ def _parse_policy(group: str, data, violations) -> Optional[LinkPolicy]:
         if not _is_number(v):
             violations.append(f"{where}.{key}: entries must be finite numbers, got {v!r}")
             ok = False
-        elif kind == "fraction-of-axis" and v <= 0:
-            violations.append(f"{where}.{key}: fractions must be positive, got {v!r}")
+        elif kind != "fixed-db" and v <= 0:
+            violations.append(f"{where}.{key}: entries must be positive, got {v!r}")
             ok = False
+    if len(vals) != 1 and group not in _RELAY_GROUPS:
+        violations.append(f"{where}: expected a single value")
+        ok = False
+    elif len(vals) not in (1, n_relays):
+        violations.append(f"{where}: length mismatch, expected {n_relays} entries "
+                          f"(or one to broadcast), got {len(vals)}")
+        ok = False
     return LinkPolicy(kind, tuple(float(v) for v in vals)) if ok else None
+
+
+def parse_links(data, n_relays: int, violations) -> dict:
+    """The `links` object of a sweep spec or an eval config: one LinkPolicy
+    per link group, with every problem appended to `violations`."""
+    if not isinstance(data, dict):
+        violations.append("links: required object with one policy per link group")
+        return {}
+    links = {}
+    for group in LINK_GROUPS:
+        if group not in data:
+            violations.append(f"links.{group}: missing")
+            continue
+        pol = _parse_policy(group, data[group], n_relays, violations)
+        if pol is not None:
+            links[group] = pol
+    return links
 
 
 @dataclass(frozen=True)
@@ -186,26 +228,7 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         if e not in ENGINE_NAMES:
             v.append(f"engines: expected one of {ENGINE_NAMES}, got {e!r}")
 
-    links_raw = data.get("links")
-    links = {}
-    if not isinstance(links_raw, dict):
-        v.append("links: required object with one policy per link group")
-    else:
-        for group in LINK_GROUPS:
-            if group not in links_raw:
-                v.append(f"links.{group}: missing")
-                continue
-            pol = _parse_policy(group, links_raw[group], v)
-            if pol is not None:
-                if (pol.kind != "equal-split" and group in _RELAY_GROUPS
-                        and len(pol.values) not in (1, n)):
-                    v.append(f"links.{group}: length mismatch, expected {n} entries "
-                             f"(or one to broadcast), got {len(pol.values)}")
-                elif pol.kind != "equal-split" and group not in _RELAY_GROUPS \
-                        and len(pol.values) != 1:
-                    v.append(f"links.{group}: expected a single value")
-                else:
-                    links[group] = pol
+    links = parse_links(data.get("links"), n, v)
 
     mc = _section(data, "mc", v)
     trials = mc.get("trials", 1_000_000)

@@ -11,14 +11,19 @@ import threading
 
 import numpy as np
 
+from oracles import excl_max_pdf, hypoexp_pdf, max_exp_cdf
+
 from relaysop import sweep
 from relaysop.analytic import diversity_slope, sop_analytic
-from relaysop.expdist import excl_max_pdf, hypoexp_pdf, max_exp_cdf
+from relaysop.claims import (BALANCED_FALL, FLOOR_GAP_TOL, FLOOR_SNR_DB,
+                             TIE_TOL, analytic_table, approaches_floor,
+                             fig2_claims, fig3_claims, fig4_claims, settles)
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import McSettings, estimate_sop, estimate_sop_grid
-from relaysop.presets import PARAM_FAMILIES, family_config, family_links
+from relaysop.presets import (PARAM_FAMILIES, family_config, family_links,
+                              figure_sweep_specs)
 from relaysop.quadrature import sop_quadrature
-from relaysop.sweep import parse_sweep_spec, run_sweep, rows_to_csv
+from relaysop.sweep import config_at, parse_sweep_spec, run_sweep, rows_to_csv
 
 SEED = 20250809
 GRID_SNR_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -78,73 +83,27 @@ def test_criterion_2_symmetry_oracle():
     assert ok
 
 
-def _fig2_table():
-    table = {}
-    for n in GRID_N:
-        for snr in np.arange(0.0, 41.0, 5.0):
-            config = family_config("fig2", n, float(snr))
-            for rs in GRID_RS:
-                target = SecrecyTarget(rs)
-                for scheme in (Scheme.MAX_E, Scheme.MIN_E):
-                    table[(n, float(snr), rs, scheme)] = sop_analytic(
-                        config, scheme, target).value
-    return table
+def _claim_inputs(figure_specs):
+    """(specs, tables): the (label, spec) pairs and the analytic table of
+    each one's sweep."""
+    return figure_specs, [analytic_table(run_sweep(spec)) for _, spec in figure_specs]
+
+
+def _fails(lines):
+    return [line for line in lines if not line.startswith("PASS: ")]
 
 
 def test_criterion_3_fig2_qualitative():
     """Identical-tap family: relay count helps the eavesdropper under max
     selection and the system under min selection; thresholds order SOP;
-    consecutive relay-count gaps shrink."""
-    t = _fig2_table()
-    snrs = [s for s in np.arange(0.0, 41.0, 5.0) if s >= 5.0]
-    problems = []
-    for snr in snrs:
-        for rs in GRID_RS:
-            maxe = [t[(n, snr, rs, Scheme.MAX_E)] for n in GRID_N]
-            mine = [t[(n, snr, rs, Scheme.MIN_E)] for n in GRID_N]
-            if not all(b > a for a, b in zip(maxe, maxe[1:])):
-                problems.append(("max-e not increasing in N", snr, rs))
-            if not all(b < a for a, b in zip(mine, mine[1:])):
-                problems.append(("min-e not decreasing in N", snr, rs))
-            for vals in (maxe, mine):
-                gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
-                if not all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:])):
-                    problems.append(("gaps not shrinking", snr, rs))
-    for n in GRID_N:
-        for snr in np.arange(0.0, 41.0, 5.0):
-            for scheme in (Scheme.MAX_E, Scheme.MIN_E):
-                if not (t[(n, float(snr), 1.0, scheme)]
-                        > t[(n, float(snr), 0.0, scheme)]):
-                    problems.append(("rs=1 not above rs=0", n, snr, scheme.value))
-    report(3, "fig2-qualitative", not problems, f"{len(problems)} violations")
-    assert not problems, problems[:10]
-
-
-#: axis point where the swept relay-destination hop is negligible next to a
-#: 30 dB pinned hop (rate ratio 1e-7), so the SOP there is the floor itself
-FLOOR_SNR_DB = 100.0
-#: allowed relative miss of the first-order floor-gap law; see criterion 4
-FLOOR_GAP_TOL = 0.10
-
-
-def _floor_gap(family, scheme, rs):
-    """(floor, gap, predicted gap) of one N=4 family at the top of the sweep.
-
-    floor is the SOP at FLOOR_SNR_DB, gap is (SOP(40 dB) - floor) / floor,
-    and the prediction is lambda_RD(40) / lambda_SR, read off the family's
-    link rates (every relay carries the same pair in the fig3 presets).
-    """
-    target = SecrecyTarget(rs)
-    top = family_config(family, 4, 40.0)
-    assert len(set(top.beta_sk)) == 1 and len(set(top.beta_kd)) == 1
-    floor = sop_analytic(family_config(family, 4, FLOOR_SNR_DB), scheme,
-                         target).value
-    gap = (sop_analytic(top, scheme, target).value - floor) / floor
-    return floor, gap, top.beta_kd[0] / top.beta_sk[0]
-
-
-def _approaches_floor(floor, gap, predicted):
-    return floor > 0.0 and abs(gap - predicted) <= FLOOR_GAP_TOL * predicted
+    consecutive relay-count gaps shrink. Checked over the fig2 preset grid:
+    N 1-4, 0-40 dB in 5 dB steps, rs 0 and 1."""
+    lines = []
+    ok = fig2_claims(*_claim_inputs(figure_sweep_specs("fig2", engines=("analytic",))),
+                     lines)
+    problems = _fails(lines)
+    report(3, "fig2-qualitative", ok and not problems, f"{len(problems)} violations")
+    assert ok and len(lines) == 4 and not problems, problems
 
 
 def test_criterion_4_fig3_saturation():
@@ -172,39 +131,22 @@ def test_criterion_4_fig3_saturation():
     is ~1e-6 of its SOP at 40 dB, so its gap is ~1e6 against a predicted 1
     and the floor check must reject it. Its 38->40 dB change stays > 10%.
     """
-    balanced_change = {}
-    for scheme in (Scheme.MAX_E, Scheme.MIN_E):
-        for rs in GRID_RS:
-            target = SecrecyTarget(rs)
-            lo = sop_analytic(family_config("fig3-balanced", 4, 38.0), scheme,
-                              target).value
-            hi = sop_analytic(family_config("fig3-balanced", 4, 40.0), scheme,
-                              target).value
-            balanced_change[(scheme.value, rs)] = abs(lo - hi) / hi
-    unbalanced = {(scheme.value, rs): _floor_gap("fig3-unbalanced", scheme, rs)
-                  for scheme in (Scheme.MAX_E, Scheme.MIN_E) for rs in GRID_RS}
-    control = [_floor_gap("fig3-balanced", scheme, rs)
-               for scheme in (Scheme.MAX_E, Scheme.MIN_E) for rs in GRID_RS]
-    balanced_ok = all(v > 0.10 for v in balanced_change.values())
-    unbalanced_ok = all(_approaches_floor(*v) for v in unbalanced.values())
-    control_rejected = not any(_approaches_floor(*v) for v in control)
-    detail = ", ".join(f"{s} rs={rs:g}: F={f:.4g} gap={g:.4f} vs {p:.4f}"
-                       for (s, rs), (f, g, p) in unbalanced.items())
-    report(4, "fig3-saturation",
-           balanced_ok and unbalanced_ok and control_rejected,
-           f"unbalanced {detail}")
-    assert balanced_ok, "balanced sweep should keep decreasing (> 10%)"
-    assert unbalanced_ok, (
-        "unbalanced sweep must approach a positive floor with gap "
-        "lambda_RD(40)/lambda_SR; measured " + detail)
-    assert control_rejected, "floor check accepted the balanced family"
-
-
-def _settles(holds):
-    """True when an ordering, read over rising SNR, holds at the top of the
-    sweep and never reverts once it holds."""
-    return (bool(holds) and holds[-1]
-            and all(holds[holds.index(True):]))
+    assert (FLOOR_SNR_DB, FLOOR_GAP_TOL, BALANCED_FALL) == (100.0, 0.10, 0.10)
+    specs, tables = _claim_inputs(figure_sweep_specs("fig3", engines=("analytic",)))
+    (balanced, unbalanced), (balanced_table, _) = specs, tables
+    assert [balanced[0], unbalanced[0]] == ["balanced", "unbalanced"]
+    top = config_at(unbalanced[1], 40.0)
+    assert len(set(top.beta_sk)) == 1 and len(set(top.beta_kd)) == 1
+    lines = []
+    ok = fig3_claims(specs, tables, lines)
+    control = []
+    control_rejected = not approaches_floor(*balanced, balanced_table, control)
+    control_rejected &= not any(line.startswith("PASS") for line in control)
+    problems = _fails(lines)
+    report(4, "fig3-saturation", ok and not problems and control_rejected,
+           "; ".join(line for line in lines if "floor" in line))
+    assert ok and len(lines) == 8 and not problems, problems
+    assert control_rejected, f"floor check accepted the balanced family: {control}"
 
 
 def test_criterion_5_fig4_ordering():
@@ -226,31 +168,22 @@ def test_criterion_5_fig4_ordering():
     sequence that reverts, one that ends in a violation and one that never
     holds.
     """
-    assert _settles([False, False, True, True])
-    assert not _settles([False, True, False, True])
-    assert not _settles([True, True, False])
-    assert not _settles([False, False])
-    violations = []
-    holds = {}
-    for n in GRID_N:
-        for snr in GRID_SNR_DB:
-            config = family_config("fig4", n, snr)
-            for rs in GRID_RS:
-                target = SecrecyTarget(rs)
-                v = {s: sop_analytic(config, s, target).value for s in Scheme}
-                if not v[Scheme.MRC_MRC] >= v[Scheme.MAX_MRC] - 1e-12:
-                    violations.append((n, snr, rs, "mrc-mrc < max-mrc"))
-                holds.setdefault((n, rs, "max-e >= mrc-mrc"), []).append(
-                    v[Scheme.MAX_E] >= v[Scheme.MRC_MRC] - 1e-12)
-                holds.setdefault((n, rs, "min-e >= max-mrc"), []).append(
-                    v[Scheme.MIN_E] >= v[Scheme.MAX_MRC] - 1e-12)
-    unsettled = [k for k, h in holds.items() if not _settles(h)]
-    report(5, "fig4-ordering", not violations and not unsettled,
-           f"{len(violations)} sure-ordering violations, "
-           f"{len(unsettled)} high-SNR orderings without a single crossing")
-    assert not violations, f"mrc-mrc < max-mrc at {violations}"
-    assert not unsettled, (
-        f"high-SNR orderings fail at the top of the sweep or revert: {unsettled}")
+    assert TIE_TOL == 1e-12
+    assert settles([False, False, True, True])
+    assert not settles([False, True, False, True])
+    assert not settles([True, True, False])
+    assert not settles([False, False])
+    specs = [(f"n{n}", parse_sweep_spec({
+        "n_relays": n, "snr_db": {"start": 0.0, "stop": 40.0, "step": 10.0},
+        "rs_values": list(GRID_RS), "schemes": [s.value for s in Scheme],
+        "engines": ["analytic"], "links": family_links("fig4", n)}))
+        for n in GRID_N]
+    lines = []
+    ok = fig4_claims(*_claim_inputs(specs), lines)
+    problems = _fails(lines)
+    report(5, "fig4-ordering", ok and not problems,
+           f"{len(problems)} of {len(lines)} orderings fail")
+    assert ok and len(lines) == 3 * len(GRID_N) * len(GRID_RS) and not problems, problems
 
 
 def test_criterion_6_diversity_slopes():

