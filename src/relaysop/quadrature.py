@@ -12,6 +12,15 @@ engine. Inner dimensions are removed with elementary antiderivatives:
   * the remaining single dimension (the deciding eavesdropper variable) is
     integrated with an adaptive Gauss-Kronrod rule.
 
+Each integral builds a plan once: a flat tuple of the per-term constants of
+its integrand (the Erlang tail coefficients, or the scales and the tilted
+tail factors of the direct-tap average), so every node runs one loop with
+one exponential per term. The operation order is that of the per-node
+expressions in tests/oracles.py, which rebuild every constant at each node,
+so the values agree bit for bit. Relays with equal tap and dual-hop rates
+have equal selection integrals, so each distinct relay is integrated once
+and its value counted for every relay like it.
+
 Infinite ranges are truncated at quantiles whose residual mass is below
 `tail_cutoff_mass`; the truncated mass is added to the reported error bound.
 """
@@ -33,7 +42,11 @@ _GROUP_EPS = 1e-9  # rates this close (relative) are integrated as exactly equal
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Tolerances and truncation policy for the quadrature engine."""
+    """Tolerances and truncation policy for the quadrature engine.
+
+    `max_depth` is QUADPACK's `limit`: the largest number of subintervals
+    the adaptive rule may split one integral into, not a recursion depth.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -94,19 +107,6 @@ def _poly_exp_terms(rates):
     return terms
 
 
-def _erlang_tail(order: int, x: float) -> float:
-    """P[Erlang(order, 1) > x] = e^{-x} * sum_{i<order} x^i/i!."""
-    e = math.exp(-x)
-    if e == 0.0:
-        return 0.0
-    acc = 1.0
-    term = 1.0
-    for i in range(1, order):
-        term *= x / i
-        acc += term
-    return e * acc
-
-
 def _phase_pdf(terms, t: float) -> float:
     total = 0.0
     for c, p, r in terms:
@@ -116,13 +116,33 @@ def _phase_pdf(terms, t: float) -> float:
     return total
 
 
-def _phase_survival(terms, v: float) -> float:
-    """P[X > v] for the poly-exponential density terms; exact at v <= 0."""
+def _phase_plan(terms):
+    """Survival plan of a poly-exponential density: (c*p!/r^(p+1), p, r) per
+    term, so P[X > v] = sum(coef * P[Erlang(p+1, 1) > r*v])."""
+    return tuple((c * math.factorial(p) / r ** (p + 1), p, r) for c, p, r in terms)
+
+
+def _phase_tail(plan, v: float) -> float:
+    """P[X > v] from a `_phase_plan`; exact at v <= 0.
+
+    The Erlang tail of each term is e^{-x} * sum_{i<=p} x^i/i! at x = r*v.
+    """
     if v <= 0.0:
         return 1.0
     total = 0.0
-    for c, p, r in terms:
-        total += c * math.factorial(p) / r ** (p + 1) * _erlang_tail(p + 1, r * v)
+    for coef, p, r in plan:
+        x = r * v
+        e = math.exp(-x)
+        if e == 0.0:
+            tail = 0.0
+        else:
+            acc = 1.0
+            term = 1.0
+            for i in range(1, p + 1):
+                term *= x / i
+                acc += term
+            tail = e * acc
+        total += coef * tail
     return total
 
 
@@ -132,40 +152,81 @@ def _phase_quantile_bound(rates, cutoff: float) -> float:
     return math.fsum(-math.log(per) / r for r in rates)
 
 
-def _tilted_poly_exp(alpha: float, r: float, rho: float, v0: float, i: int) -> float:
-    """E_z[e^{-r(v0+rho z)} (r(v0+rho z))^i / i!] with z ~ Exp(alpha), v0 >= 0."""
-    e = math.exp(-r * v0)
-    if e == 0.0:
-        return 0.0
-    rv = r * v0
-    rr = r * rho
-    heads = [1.0]  # heads[m] = (rv)^m / m!
-    for m in range(1, i + 1):
+def _tap_plan(terms, alpha: float, rho: float, survival: bool):
+    """Plan of the direct-tap average of a poly-exponential sum X.
+
+    The average is E_z[P[X > v0 + rho*z]] (survival) or E_z[f_X(v0 + rho*z)]
+    (density) with z ~ Exp(alpha), the eavesdropper direct-link SNR. Each
+    term (c, p, r) becomes (scale, p, r, tails): scale is c*p!/r^(p+1) for
+    the survival and c*p!/r^p for the density, and
+    tails[j] = 1/(alpha+r*rho) * (r*rho/(alpha+r*rho))^j for j <= p.
+    """
+    plan = []
+    for c, p, r in terms:
+        rr = r * rho
+        tail = 1.0 / (alpha + rr)
+        tails = [tail]
+        for _ in range(p):
+            tail *= rr / (alpha + rr)
+            tails.append(tail)
+        scale = c * math.factorial(p) / r ** (p + 1 if survival else p)
+        plan.append((scale, p, r, tuple(tails)))
+    return tuple(plan)
+
+
+def _heads(rv: float, p: int) -> list:
+    """heads[m] = rv^m / m! for m <= p."""
+    heads = [1.0]
+    for m in range(1, p + 1):
         heads.append(heads[-1] * rv / m)
-    acc = 0.0
-    tail = 1.0 / (alpha + rr)  # (rr)^j / (alpha+rr)^{j+1}, walked up in j
-    for j in range(i + 1):
-        acc += heads[i - j] * tail
-        tail *= rr / (alpha + rr)
-    return alpha * e * acc
+    return heads
 
 
-def _mean_over_direct_tap(terms, alpha_se: float, rho: float, v0: float,
-                          survival: bool) -> float:
-    """E_z of the legitimate-sum survival (or density) at v0 + rho*z.
+def _tap_survival(plan, alpha: float, v0: float) -> float:
+    """E_z[P[X > v0 + rho*z]] from a survival `_tap_plan`, v0 >= 0.
 
-    z is the eavesdropper direct-link SNR, Exp(alpha_se). Survival terms use
-    the Erlang tail expansion; density terms a single tilted integral each.
+    Term (c, p, r) adds scale * sum_{i<=p} E_z[e^{-rw} (rw)^i/i!] at
+    w = v0 + rho*z; each expectation is
+    alpha * e^{-r v0} * sum_{j<=i} heads[i-j] * tails[j].
     """
     total = 0.0
-    for c, p, r in terms:
-        if survival:
-            scale = c * math.factorial(p) / r ** (p + 1)
-            total += scale * math.fsum(
-                _tilted_poly_exp(alpha_se, r, rho, v0, i) for i in range(p + 1))
+    for scale, p, r, tails in plan:
+        e = math.exp(-r * v0)
+        if e == 0.0:
+            part = 0.0
+        elif p == 0:
+            part = alpha * e * tails[0]
         else:
-            total += c * math.factorial(p) / r ** p * _tilted_poly_exp(
-                alpha_se, r, rho, v0, p)
+            heads = _heads(r * v0, p)
+            ae = alpha * e
+            parts = []
+            for i in range(p + 1):
+                acc = 0.0
+                for j in range(i + 1):
+                    acc += heads[i - j] * tails[j]
+                parts.append(ae * acc)
+            part = math.fsum(parts)
+        total += scale * part
+    return total
+
+
+def _tap_density(plan, alpha: float, v0: float) -> float:
+    """E_z[f_X(v0 + rho*z)] from a density `_tap_plan`, v0 >= 0: the i = p
+    expectation of `_tap_survival` per term."""
+    total = 0.0
+    for scale, p, r, tails in plan:
+        e = math.exp(-r * v0)
+        if e == 0.0:
+            part = 0.0
+        elif p == 0:
+            part = alpha * e * tails[0]
+        else:
+            heads = _heads(r * v0, p)
+            acc = 0.0
+            for j in range(p + 1):
+                acc += heads[p - j] * tails[j]
+            part = alpha * e * acc
+        total += scale * part
     return total
 
 
@@ -179,6 +240,32 @@ def _quad(fn, hi, settings: QuadSettings, eps_scale: float):
     return out[0], out[1]
 
 
+def _relay_integral(config: NetworkConfig, target: SecrecyTarget,
+                    settings: QuadSettings, relay, rivals, minimize: bool):
+    """(value, error) of the outage integral over the tap t of a selected
+    relay with (tap, dual-hop) rates `relay`, against the `rivals` taps."""
+    ake, bkd = relay
+    alpha_se = config.alpha_se
+    rho = target.rho
+    rm1 = rho - 1.0
+    plan = _tap_plan(_poly_exp_terms([bkd, config.beta_sd]), alpha_se, rho,
+                     survival=True)
+    rival_rate = math.fsum(rivals)
+
+    def integrand(t):
+        if minimize:
+            w = math.exp(-rival_rate * t)
+        else:
+            w = 1.0
+            for a in rivals:
+                w *= -math.expm1(-a * t)
+        win = _tap_survival(plan, alpha_se, rho * t + rm1)
+        return ake * math.exp(-ake * t) * w * (1.0 - win)
+
+    return _quad(integrand, -math.log(settings.tail_cutoff_mass) / ake, settings,
+                 0.5 / config.n_relays)
+
+
 def _selection_integral(config: NetworkConfig, target: SecrecyTarget,
                         settings: QuadSettings, minimize: bool):
     """Outage probability under max- or min-tap relay selection.
@@ -187,37 +274,27 @@ def _selection_integral(config: NetworkConfig, target: SecrecyTarget,
     (legitimate sum below the threshold line); conditioning on the tap t and
     averaging the legitimate-sum CDF over the direct tap z leaves a single
     smooth integral over t.
+
+    A relay's integral depends only on its (tap, dual-hop) rates and the
+    multiset of the rival taps, so each distinct relay is integrated once
+    and its (value, error) counted for every relay equal to it. Relays are
+    summed, and rival factors multiplied, in descending rate order, so
+    relabelling the relays changes no bit of the result. Descending rates
+    are the relay order of taps listed in ascending dB, as the presets list
+    them, so those sums keep the order a plain relay loop gives.
     """
-    rho = target.rho
-    rm1 = rho - 1.0
     cut = settings.tail_cutoff_mass
-    n = config.n_relays
+    taps = config.alpha_ke
+    done = {}
     total = 0.0
     err = 0.0
-    for k in range(n):
-        ake = config.alpha_ke[k]
-        others = config.alpha_ke[:k] + config.alpha_ke[k + 1:]
-        terms = _poly_exp_terms([config.beta_kD[k], config.beta_sd])
-        t_hi = -math.log(cut) / ake
-
-        if minimize:
-            rival_rate = math.fsum(others)
-
-            def rival_weight(t, rate=rival_rate):
-                return math.exp(-rate * t)
-        else:
-            def rival_weight(t, rates=others):
-                w = 1.0
-                for a in rates:
-                    w *= -math.expm1(-a * t)
-                return w
-
-        def integrand(t, ake=ake, terms=terms, rw=rival_weight):
-            win = _mean_over_direct_tap(terms, config.alpha_se, rho,
-                                        rho * t + rm1, survival=True)
-            return ake * math.exp(-ake * t) * rw(t) * (1.0 - win)
-
-        val_k, err_k = _quad(integrand, t_hi, settings, 0.5 / n)
+    for relay in sorted(zip(taps, config.beta_kD), reverse=True):
+        if relay not in done:
+            rivals = sorted(taps, reverse=True)
+            rivals.remove(relay[0])
+            done[relay] = _relay_integral(config, target, settings, relay,
+                                          rivals, minimize)
+        val_k, err_k = done[relay]
         total += val_k
         err += err_k + cut
     return total, err
@@ -234,17 +311,18 @@ def _max_mrc_integral(config, target, settings):
     rho = target.rho
     rm1 = rho - 1.0
     cut = settings.tail_cutoff_mass
-    legit = [config.beta_sd, *config.beta_kD]
-    terms = _poly_exp_terms(legit)
-    base = 1.0 - _mean_over_direct_tap(terms, config.alpha_se, rho, rm1,
-                                       survival=True)
-    u_hi = max(-math.log(cut / config.n_relays) / a for a in config.alpha_ke)
+    alpha_se = config.alpha_se
+    taps = config.alpha_ke
+    terms = _poly_exp_terms([config.beta_sd, *config.beta_kD])
+    base = 1.0 - _tap_survival(_tap_plan(terms, alpha_se, rho, survival=True),
+                               alpha_se, rm1)
+    plan = _tap_plan(terms, alpha_se, rho, survival=False)
+    u_hi = max(-math.log(cut / config.n_relays) / a for a in taps)
 
     def integrand(u):
-        dens = _mean_over_direct_tap(terms, config.alpha_se, rho,
-                                     rho * u + rm1, survival=False)
+        dens = _tap_density(plan, alpha_se, rho * u + rm1)
         w = 1.0
-        for a in config.alpha_ke:
+        for a in taps:
             w *= -math.expm1(-a * u)
         return rho * dens * (1.0 - w)
 
@@ -256,13 +334,13 @@ def _mrc_mrc_integral(config, target, settings):
     rho = target.rho
     rm1 = rho - 1.0
     cut = settings.tail_cutoff_mass
-    terms_m = _poly_exp_terms([config.beta_sd, *config.beta_kD])
+    plan_m = _phase_plan(_poly_exp_terms([config.beta_sd, *config.beta_kD]))
     eve = [config.alpha_se, *config.alpha_ke]
     terms_e = _poly_exp_terms(eve)
     x_hi = _phase_quantile_bound(eve, cut)
 
     def integrand(x):
-        return (1.0 - _phase_survival(terms_m, rho * x + rm1)) * _phase_pdf(terms_e, x)
+        return (1.0 - _phase_tail(plan_m, rho * x + rm1)) * _phase_pdf(terms_e, x)
 
     val, err = _quad(integrand, x_hi, settings, 0.5)
     return val, err + cut

@@ -163,3 +163,68 @@ def hypoexp_pdf(rates) -> ExpMixture:
     with mp.workdps(max(dps, mp.mp.dps)):
         terms = tuple((w * r, r) for w, r in weights)
     return ExpMixture(terms, dps=dps)
+
+
+# The quadrature integrand pieces in their plainest form: every call
+# rebuilds its per-term constants. The package's plan evaluators
+# (quadrature._tap_plan, quadrature._phase_plan) must match them bit for bit.
+
+
+def erlang_tail(order: int, x: float) -> float:
+    """P[Erlang(order, 1) > x] = e^{-x} * sum_{i<order} x^i/i!."""
+    e = math.exp(-x)
+    if e == 0.0:
+        return 0.0
+    acc = 1.0
+    term = 1.0
+    for i in range(1, order):
+        term *= x / i
+        acc += term
+    return e * acc
+
+
+def phase_survival(terms, v: float) -> float:
+    """P[X > v] for the poly-exponential density terms; exact at v <= 0."""
+    if v <= 0.0:
+        return 1.0
+    total = 0.0
+    for c, p, r in terms:
+        total += c * math.factorial(p) / r ** (p + 1) * erlang_tail(p + 1, r * v)
+    return total
+
+
+def tilted_poly_exp(alpha: float, r: float, rho: float, v0: float, i: int) -> float:
+    """E_z[e^{-r(v0+rho z)} (r(v0+rho z))^i / i!] with z ~ Exp(alpha), v0 >= 0."""
+    e = math.exp(-r * v0)
+    if e == 0.0:
+        return 0.0
+    rv = r * v0
+    rr = r * rho
+    heads = [1.0]  # heads[m] = (rv)^m / m!
+    for m in range(1, i + 1):
+        heads.append(heads[-1] * rv / m)
+    acc = 0.0
+    tail = 1.0 / (alpha + rr)  # (rr)^j / (alpha+rr)^{j+1}, walked up in j
+    for j in range(i + 1):
+        acc += heads[i - j] * tail
+        tail *= rr / (alpha + rr)
+    return alpha * e * acc
+
+
+def mean_over_direct_tap(terms, alpha_se: float, rho: float, v0: float,
+                         survival: bool) -> float:
+    """E_z of the legitimate-sum survival (or density) at v0 + rho*z.
+
+    z is the eavesdropper direct-link SNR, Exp(alpha_se). Survival terms use
+    the Erlang tail expansion; density terms a single tilted integral each.
+    """
+    total = 0.0
+    for c, p, r in terms:
+        if survival:
+            scale = c * math.factorial(p) / r ** (p + 1)
+            total += scale * math.fsum(
+                tilted_poly_exp(alpha_se, r, rho, v0, i) for i in range(p + 1))
+        else:
+            total += c * math.factorial(p) / r ** p * tilted_poly_exp(
+                alpha_se, r, rho, v0, p)
+    return total

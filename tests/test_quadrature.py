@@ -1,13 +1,22 @@
+import csv
+import itertools
 import math
+import random
 
 import pytest
 from scipy import integrate
 
+import relaysop.quadrature as quadrature
+from oracles import mean_over_direct_tap, phase_survival
 from relaysop.errors import ConvergenceError, UnsupportedSizeError
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import McSettings, estimate_sop
-from relaysop.quadrature import (QuadSettings, _phase_pdf, _phase_survival,
-                                 _poly_exp_terms, sop_quadrature)
+from relaysop.presets import PARAM_FAMILIES, family_links
+from relaysop.quadrature import (QuadSettings, _phase_pdf, _phase_plan,
+                                 _phase_tail, _poly_exp_terms, _tap_density,
+                                 _tap_plan, _tap_survival, sop_quadrature)
+from relaysop.sweep import _fmt, config_at, parse_sweep_spec, snr_grid
+from test_analytic import REFERENCE, _equal_split_spec
 
 SEED = 20250809
 
@@ -49,9 +58,69 @@ class TestPolyExpTerms:
         for v in (0.5, 2.0, 6.0):
             want, _ = integrate.quad(lambda t: _phase_pdf(terms, t), v, 80.0,
                                      epsabs=1e-13, epsrel=1e-11, limit=200)
-            assert _phase_survival(terms, v) == pytest.approx(want, rel=1e-9)
-        assert _phase_survival(terms, 0.0) == 1.0
-        assert _phase_survival(terms, -1.0) == 1.0
+            assert _phase_tail(_phase_plan(terms), v) == pytest.approx(want, rel=1e-9)
+        assert _phase_tail(_phase_plan(terms), 0.0) == 1.0
+        assert _phase_tail(_phase_plan(terms), -1.0) == 1.0
+
+
+def _random_terms(rng, p_max):
+    """Poly-exponential terms (c, p, r) of either sign, every p up to p_max."""
+    return [(rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 50.0), p,
+             10.0 ** rng.uniform(-3.0, 1.0)) for p in range(p_max + 1)]
+
+
+class TestPlanEvaluators:
+    """The per-integral plans give, bit for bit, the values of the per-node
+    helpers that rebuilt every constant at each node (tests/oracles.py)."""
+
+    @staticmethod
+    def _v0s(rng, terms):
+        # inside the range of exp, and past its underflow for every term or
+        # for only the fastest ones
+        rates = sorted(r for _, _, r in terms)
+        return [0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 40.0) / rates[0],
+                800.0 / rates[-1], 800.0 / rates[0], 2000.0 / rates[0]]
+
+    @pytest.mark.parametrize("p_max", range(9))
+    def test_direct_tap_average(self, p_max):
+        rng = random.Random(100 + p_max)
+        for _ in range(40):
+            terms = _random_terms(rng, p_max)
+            alpha = 10.0 ** rng.uniform(-3.0, 1.0)
+            rho = 2.0 ** rng.uniform(0.0, 6.0)
+            surv = _tap_plan(terms, alpha, rho, survival=True)
+            dens = _tap_plan(terms, alpha, rho, survival=False)
+            for v0 in self._v0s(rng, terms):
+                for one in ([t] for t in terms):  # each p alone, then all
+                    assert (_tap_survival(_tap_plan(one, alpha, rho, True), alpha, v0).hex()
+                            == mean_over_direct_tap(one, alpha, rho, v0, True).hex())
+                assert (_tap_survival(surv, alpha, v0).hex()
+                        == mean_over_direct_tap(terms, alpha, rho, v0, True).hex())
+                assert (_tap_density(dens, alpha, v0).hex()
+                        == mean_over_direct_tap(terms, alpha, rho, v0, False).hex())
+
+    @pytest.mark.parametrize("p_max", range(9))
+    def test_phase_tail(self, p_max):
+        rng = random.Random(200 + p_max)
+        for _ in range(40):
+            terms = _random_terms(rng, p_max)
+            plan = _phase_plan(terms)
+            for v in [-1.0, *self._v0s(rng, terms)]:
+                assert _phase_tail(plan, v).hex() == phase_survival(terms, v).hex()
+
+    def test_rates_of_the_engines(self):
+        # grouped multiplicities as the engines build them: p up to 8
+        for rates in ([0.5, 1.5], [2.0, 2.0], [0.3] * 9, [0.3] * 4 + [0.7] * 4 + [1.1]):
+            terms = _poly_exp_terms(rates)
+            for alpha, rho in ((0.9, 1.0), (0.01, 3.0)):
+                surv = _tap_plan(terms, alpha, rho, survival=True)
+                dens = _tap_plan(terms, alpha, rho, survival=False)
+                for v0 in (0.0, 0.7, 9.0, 250.0, 5000.0):
+                    assert _tap_survival(surv, alpha, v0) == mean_over_direct_tap(
+                        terms, alpha, rho, v0, True)
+                    assert _tap_density(dens, alpha, v0) == mean_over_direct_tap(
+                        terms, alpha, rho, v0, False)
+                    assert _phase_tail(_phase_plan(terms), v0) == phase_survival(terms, v0)
 
 
 class TestSopQuadrature:
@@ -98,6 +167,97 @@ class TestSopQuadrature:
             QuadSettings(tail_cutoff_mass=1e-3)
         with pytest.raises(ValueError):
             QuadSettings(max_depth=0)
+
+
+class TestReferenceBytes:
+    """Quadrature reproduces the recorded reference CSV text exactly."""
+
+    @staticmethod
+    def _specs():
+        for family in PARAM_FAMILIES:
+            for n in (1, 2, 3, 4):
+                yield f"{family}_n{n}.csv", parse_sweep_spec({
+                    "n_relays": n,
+                    "snr_db": {"start": 0.0, "stop": 80.0, "step": 20.0},
+                    "rs_values": [0.0, 1.0], "schemes": [s.value for s in Scheme],
+                    "engines": ["quad"], "links": family_links(family, n)})
+        for n in (5, 6, 7, 8):
+            yield f"identical_n{n}.csv", _equal_split_spec(n, 3.0)
+        for n in (5, 6, 7, 8):
+            yield f"laddered_n{n}.csv", _equal_split_spec(
+                n, [float(k) for k in range(n)])
+
+    def test_every_closed_form_quad_row(self):
+        with open(REFERENCE, newline="") as fh:
+            want = {(r["file"], r["snr_db"], r["scheme"], r["rs"]): r["sop"]
+                    for r in csv.DictReader(fh) if r["engine"] == "quad"}
+        got = {}
+        for name, spec in self._specs():
+            for snr in snr_grid(spec):
+                config = config_at(spec, snr)
+                for scheme in Scheme:
+                    for rs in (0.0, 1.0):
+                        value = sop_quadrature(config, scheme, SecrecyTarget(rs)).value
+                        got[(name, _fmt(snr), scheme.value, _fmt(rs))] = _fmt(value)
+        assert len(got) == len(want) == 768
+        assert got == want
+
+
+def _permuted(cfg, order):
+    pick = lambda values: tuple(values[i] for i in order)  # noqa: E731
+    return NetworkConfig(cfg.n_relays, pick(cfg.beta_sk), pick(cfg.beta_kd),
+                         cfg.beta_sd, pick(cfg.alpha_ke), cfg.alpha_se)
+
+
+class TestRelaySymmetry:
+    """Each distinct relay is integrated once, and relabelling the relays
+    changes no bit of the selection values."""
+
+    @pytest.mark.parametrize("cfg", [
+        # taps [a, x, a] with equal dual hops: relays 0 and 2 are one class
+        NetworkConfig(3, (0.02, 0.05, 0.02), (0.03, 0.01, 0.03), 0.5,
+                      (1.3, 0.4, 1.3), 0.9),
+        # relays 0 and 2 share a tap but not a dual hop: two classes
+        NetworkConfig(3, (0.02, 0.05, 0.02), (0.03, 0.03, 0.07), 0.5,
+                      (1.3, 0.4, 1.3), 0.9),
+        NetworkConfig(4, (0.1, 0.1, 0.2, 0.1), (0.1, 0.1, 0.2, 0.1), 0.5,
+                      (0.7, 0.7, 0.7, 2.1), 1.0),
+    ])
+    def test_bit_identical_under_every_permutation(self, cfg):
+        for rs in (0.0, 0.5, 1.0, 2.0):
+            target = SecrecyTarget(rs)
+            for scheme in (Scheme.MAX_E, Scheme.MIN_E):
+                want = sop_quadrature(cfg, scheme, target).value
+                for order in itertools.permutations(range(cfg.n_relays)):
+                    got = sop_quadrature(_permuted(cfg, order), scheme, target).value
+                    assert got.hex() == want.hex(), (scheme, rs, order)
+
+    @staticmethod
+    def _quad_calls(monkeypatch, cfg, scheme):
+        calls = []
+        real = quadrature.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature.integrate, "quad", counting)
+        sop_quadrature(cfg, scheme, SecrecyTarget(1.0))
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("scheme", [Scheme.MAX_E, Scheme.MIN_E])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_one_integral_per_distinct_relay(self, monkeypatch, scheme, n):
+        same = NetworkConfig(n, (0.2,) * n, (0.3,) * n, 0.5, (0.7,) * n, 0.9)
+        assert self._quad_calls(monkeypatch, same, scheme) == 1
+        taps = tuple(0.7 + 0.1 * k for k in range(n))
+        distinct = NetworkConfig(n, (0.2,) * n, (0.3,) * n, 0.5, taps, 0.9)
+        assert self._quad_calls(monkeypatch, distinct, scheme) == n
+        # an equal tap with another dual hop is another relay
+        hops = tuple(0.3 + 0.1 * k for k in range(n))
+        split = NetworkConfig(n, (0.2,) * n, hops, 0.5, (0.7,) * n, 0.9)
+        assert self._quad_calls(monkeypatch, split, scheme) == n
 
 
 def test_brute_force_four_dimensional_max_e():
