@@ -13,6 +13,14 @@ by its own rates. The work is cut into blocks of rows small enough to stay
 in a core's cache: each block reads its rows' values straight from the
 chunk's stream (the generator jumps ahead to them), and worker threads take
 blocks from one shared list.
+
+Each block is reduced in two halves. The eavesdropper half (rescaled
+eavesdropper links, relay picks, gamma_E and the outage thresholds
+rho * (1 + gamma_E)) depends only on the eavesdropper rates, so configs
+that share those rates, as the axis points of a main-link SNR sweep do,
+share one copy of it per block; the legitimate half (gamma_M and the
+counts) is formed per config. Grids with no MRC at the destination read
+only the picked relay's legitimate links.
 """
 
 from __future__ import annotations
@@ -110,60 +118,116 @@ def _sample_chunk(config: NetworkConfig, seed: int, chunk_index: int, n_trials: 
     return tuple(u / rate for u, rate in zip(unit, _rates(config)))
 
 
-def _shared_snrs(arrays, out=None):
-    """(min(gsk, gkd), gsd, gke, gse): what every scheme reduces from a chunk."""
-    gsk, gkd, gsd, gke, gse = arrays
-    return np.minimum(gsk, gkd, out=out), gsd, gke, gse
+#: how each scheme combines at (the destination, the eavesdropper): through
+#: the relay that np.argmax / np.argmin picks from the eavesdropper's relay
+#: SNRs (ties break toward the lowest relay index), or over every relay (None)
+_COMBINING = {Scheme.MAX_E: (np.argmax, np.argmax),
+              Scheme.MIN_E: (np.argmin, np.argmin),
+              Scheme.MAX_MRC: (None, np.argmax),
+              Scheme.MRC_MRC: (None, None)}
 
 
-def _reductions(shared, schemes):
-    """Yield (scheme, gamma_M, gamma_E) of each scheme, one value per row.
+class _Plan:
+    """What a grid's (scheme, target) pairs read from every block.
 
-    Selection ties break toward the lowest relay index. The argmax pick of gke serves both max-e and max-mrc, and the row sum of
-    gkd_eff both MRC schemes; each is computed once, on first use.
+    picks, m_sides and e_sides list, once each in first-use order, the relay
+    picks and the destination and eavesdropper combinings the pairs use;
+    thresholds the distinct (eavesdropper combining, rho) pairs; cells each
+    pair's (destination combining, index into thresholds).
     """
-    gkd_eff, gsd, gke, gse = shared
+
+    def __init__(self, pairs):
+        combos = [_COMBINING[scheme] for scheme, _ in pairs]
+        self.picks = list(dict.fromkeys(arg for combo in combos for arg in combo
+                                        if arg is not None))
+        self.m_sides = list(dict.fromkeys(m for m, _ in combos))
+        self.e_sides = list(dict.fromkeys(e for _, e in combos))
+        keys = [(e, target.rho) for (_, e), (_, target) in zip(combos, pairs)]
+        self.thresholds = list(dict.fromkeys(keys))
+        self.cells = [(m, self.thresholds.index(key)) for (m, _), key in zip(combos, keys)]
+        #: with no MRC at the destination, only the picked relay's links count
+        self.selection_only = None not in self.m_sides
+
+
+class _Scratch:
+    """One worker thread's buffers for blocks of up to `rows` rows."""
+
+    def __init__(self, plan: _Plan, rows: int, n: int):
+        self.unit = np.empty(rows * (3 * n + 2))
+        self.offsets = np.arange(0, rows * n, n)  # flat index of each row's relay 0
+        # rescaled link SNRs in _unit_rows's group order (sk, kd, sd, ke, se)
+        self.links = [np.empty((rows, n)), np.empty((rows, n)), np.empty(rows),
+                      np.empty((rows, n)), np.empty(rows)]
+        # each pick as (relay index, flat index) of every row
+        self.picks = {arg: (np.empty(rows, np.intp), np.empty(rows, np.intp))
+                      for arg in plan.picks}
+        self.gamma_e = {e: np.empty(rows) for e in plan.e_sides}
+        self.gamma_m = {m: np.empty(rows) for m in plan.m_sides}
+        self.thresholds = np.empty((len(plan.thresholds), rows))
+        self.outage = np.empty(rows, dtype=bool)
+
+
+def _eavesdropper_half(plan: _Plan, ke, se, rates, scratch: _Scratch):
+    """The eavesdropper's side of one block at one (alpha_ke, alpha_se),
+    which every config with those rates shares.
+
+    Rescales ke and se, takes each relay pick once, forms gamma_E of each
+    eavesdropper combining and each threshold rho * (1 + gamma_E), all into
+    scratch. Returns (picks, gamma_e, thresholds): picks maps each pick to
+    its rows' (relay index, flat index), gamma_e each combining to its
+    values, and thresholds holds one row per entry of plan.thresholds.
+    """
+    b = len(se)
+    gke = np.divide(ke, rates[3], out=scratch.links[3][:b])
+    gse = np.divide(se, rates[4], out=scratch.links[4][:b])
     picks = {}
-    mrc_gm = None
+    for arg, (index, flat) in scratch.picks.items():
+        index = arg(gke, axis=1, out=index[:b])
+        picks[arg] = index, np.add(index, scratch.offsets[:b], out=flat[:b])
+    gamma_e = {e: np.add(gse, gke.sum(axis=1) if e is None else gke.take(picks[e][1]),
+                         out=out[:b])
+               for e, out in scratch.gamma_e.items()}
+    thresholds = scratch.thresholds[:, :b]
+    for row, (e, rho) in zip(thresholds, plan.thresholds):
+        np.multiply(rho, np.add(1.0, gamma_e[e], out=row), out=row)
+    return picks, gamma_e, thresholds
 
-    def pick(arg):  # flat index of each row's selected relay
-        if arg not in picks:
-            picks[arg] = arg(gke, axis=1) + np.arange(0, gke.size, gke.shape[1])
-        return picks[arg]
 
-    for scheme in schemes:
-        if scheme in (Scheme.MAX_E, Scheme.MIN_E):
-            k = pick(np.argmax if scheme is Scheme.MAX_E else np.argmin)
-            yield scheme, gsd + gkd_eff.take(k), gse + gke.take(k)
-            continue
-        if mrc_gm is None:
-            mrc_gm = gsd + gkd_eff.sum(axis=1)
-        if scheme is Scheme.MAX_MRC:
-            yield scheme, mrc_gm, gse + gke.take(pick(np.argmax))
+def _legitimate_half(plan: _Plan, sk, kd, sd, rates, picks, scratch: _Scratch):
+    """gamma_M of each destination combining over one block for one config,
+    into scratch.
+
+    Only sk, kd and sd are rescaled. Without MRC in the plan only the picked
+    relay's sk and kd values are read, each divided by that relay's rates:
+    the same quotients as rescaling every column.
+    """
+    b = len(sd)
+    gsd = np.divide(sd, rates[2], out=scratch.links[2][:b])
+    if not plan.selection_only:
+        eff = np.minimum(np.divide(sk, rates[0], out=scratch.links[0][:b]),
+                         np.divide(kd, rates[1], out=scratch.links[1][:b]),
+                         out=scratch.links[0][:b])
+    gamma_m = {}
+    for m, out in scratch.gamma_m.items():
+        if m is None:
+            relays = eff.sum(axis=1)
+        elif plan.selection_only:
+            index, flat = picks[m]
+            relays = np.minimum(sk.take(flat) / rates[0].take(index),
+                                kd.take(flat) / rates[1].take(index))
         else:
-            yield scheme, mrc_gm, gse + gke.sum(axis=1)
+            relays = eff.take(picks[m][1])
+        gamma_m[m] = np.add(gsd, relays, out=out[:b])
+    return gamma_m
 
 
-def _scheme_snrs(shared, scheme: Scheme):
-    """(gamma_M, gamma_E) of one scheme over the shared arrays of a chunk."""
-    _, gm, ge = next(_reductions(shared, [scheme]))
-    return gm, ge
-
-
-def _rescale(block, rates, scratch):
-    """One config's shared arrays (see _shared_snrs) for a block of unit
-    exponentials, divided by its rates into scratch rows."""
-    b = len(block[2])
-    arrays = [np.divide(u, r, out=s[:b]) for u, r, s in zip(block, rates, scratch)]
-    return _shared_snrs(arrays, out=arrays[0])
-
-
-def _block_counts(shared, by_scheme, counts) -> None:
-    """Add each pair's outage count in one block to counts[index]."""
-    for scheme, gm, ge in _reductions(shared, by_scheme):
-        lhs, rhs = 1.0 + gm, 1.0 + ge
-        for i, rho in by_scheme[scheme]:
-            counts[i] += np.count_nonzero(lhs < rho * rhs)
+def _add_counts(plan: _Plan, gamma_m, thresholds, scratch: _Scratch, counts) -> None:
+    """Add each pair's outage count in one block, 1 + gamma_M below its
+    threshold, to counts[pair]; turns gamma_m into 1 + gamma_M in place."""
+    lhs = {m: np.add(1.0, g, out=g) for m, g in gamma_m.items()}
+    outage = scratch.outage[:thresholds.shape[1]]
+    for i, (m, t) in enumerate(plan.cells):
+        counts[i] += np.count_nonzero(np.less(lhs[m], thresholds[t], out=outage))
 
 
 def _ci_halfwidth(successes: int, trials: int) -> float:
@@ -184,7 +248,12 @@ def estimate_sop_grid(configs, scheme_targets, settings: McSettings,
     into blocks of about _BLOCK_VALUES unit exponentials; each block is
     drawn once and every config rescales it by its own rates into reused
     scratch, so the working set stays within a core's cache and nothing
-    chunk-sized is allocated. `workers` threads take blocks from one shared
+    chunk-sized is allocated. Configs with equal eavesdropper rates
+    (alpha_ke, alpha_se) share that half of each block: its rescaled
+    eavesdropper links, relay picks, gamma_E and thresholds are formed once
+    per block for all of them, and each config adds only its legitimate
+    links. A grid without MRC at the destination reads only the picked
+    relay's sk and kd values. `workers` threads take blocks from one shared
     list until it is empty, so a thread that runs slow holds up the end of
     the call by one block at most (numpy releases the interpreter lock while
     it draws and reduces).
@@ -202,9 +271,10 @@ def estimate_sop_grid(configs, scheme_targets, settings: McSettings,
     if any(config.n_relays != n for config in configs):
         raise ValueError("every config of a grid must have the same relay count")
     rates = [_rates(config) for config in configs]
-    by_scheme: dict = {}
-    for i, (scheme, target) in enumerate(pairs):
-        by_scheme.setdefault(scheme, []).append((i, target.rho))
+    groups: dict = {}  # (alpha_ke, alpha_se) -> the configs with those rates
+    for k, config in enumerate(configs):
+        groups.setdefault((config.alpha_ke, config.alpha_se), []).append(k)
+    plan = _Plan(pairs)
     rows = min(settings.trials, settings.chunk_size, _block_rows(n))
     blocks = []  # (chunk state, chunk size, first row, rows)
     for c, first in enumerate(range(0, settings.trials, settings.chunk_size)):
@@ -216,9 +286,7 @@ def estimate_sop_grid(configs, scheme_targets, settings: McSettings,
 
     def take_blocks(_=None) -> np.ndarray:
         gen = _generator()
-        unit = np.empty(rows * (3 * n + 2))
-        scratch = [np.empty((rows, n)), np.empty((rows, n)), np.empty(rows),
-                   np.empty((rows, n)), np.empty(rows)]
+        scratch = _Scratch(plan, rows, n)
         counts = np.zeros((len(configs), len(pairs)), dtype=np.int64)
         # a subnormal link rate turns some draws into infinite SNRs, which
         # the reductions handle; numpy's overflow warning says nothing more
@@ -229,10 +297,15 @@ def estimate_sop_grid(configs, scheme_targets, settings: McSettings,
                 if task is None:
                     return counts
                 state, size, lo, b = task
-                block = _unit_rows(gen, state, size, n, lo, unit[:b * (3 * n + 2)])
-                for k, config_rates in enumerate(rates):
-                    _block_counts(_rescale(block, config_rates, scratch), by_scheme,
-                                  counts[k])
+                sk, kd, sd, ke, se = _unit_rows(gen, state, size, n, lo,
+                                                scratch.unit[:b * (3 * n + 2)])
+                for members in groups.values():
+                    picks, _, thresholds = _eavesdropper_half(
+                        plan, ke, se, rates[members[0]], scratch)
+                    for k in members:
+                        gamma_m = _legitimate_half(plan, sk, kd, sd, rates[k], picks,
+                                                   scratch)
+                        _add_counts(plan, gamma_m, thresholds, scratch, counts[k])
 
     threads = min(workers, len(blocks))
     if threads > 1:

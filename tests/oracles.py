@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
+import numpy as np
 
 from relaysop.expdist import (_digit_loss, spread_rates, subset_rate_sums,
                               working_dps)
@@ -228,3 +229,42 @@ def mean_over_direct_tap(terms, alpha_se: float, rho: float, v0: float,
             total += c * math.factorial(p) / r ** p * tilted_poly_exp(
                 alpha_se, r, rho, v0, p)
     return total
+
+
+# Monte Carlo references: a chunk drawn with one rng.random call per link
+# group and reduced over whole-chunk arrays. The package's block reductions
+# (montecarlo._eavesdropper_half, montecarlo._legitimate_half) must match
+# them bit for bit.
+
+
+def five_call_chunk(cfg, seed, chunk_index, n_trials):
+    """Reference draw: one rng.random call per link group, sk, kd, sd, ke, se."""
+    rng = np.random.default_rng((seed, chunk_index))
+    n = cfg.n_relays
+    shapes = ((n_trials, n), (n_trials, n), n_trials, (n_trials, n), n_trials)
+    rates = (np.asarray(cfg.beta_sk), np.asarray(cfg.beta_kd), cfg.beta_sd,
+             np.asarray(cfg.alpha_ke), cfg.alpha_se)
+    return tuple(-np.log1p(-rng.random(shape)) / rate
+                 for shape, rate in zip(shapes, rates))
+
+
+def reference_snrs(arrays, scheme):
+    """(gamma_M, gamma_E) of a whole chunk the way run_scheme reads:
+    fancy-indexed picks, max and sums over full-chunk arrays."""
+    gsk, gkd, gsd, gke, gse = arrays
+    eff, rows = np.minimum(gsk, gkd), np.arange(len(gsd))
+    if scheme in (Scheme.MAX_E, Scheme.MIN_E):
+        k = np.argmax(gke, axis=1) if scheme is Scheme.MAX_E else np.argmin(gke, axis=1)
+        return gsd + eff[rows, k], gse + gke[rows, k]
+    gm = gsd + eff.sum(axis=1)
+    return gm, gse + (gke.max(axis=1) if scheme is Scheme.MAX_MRC else gke.sum(axis=1))
+
+
+def reference_outages(cfg, scheme, target, settings):
+    """Outage count of one pair, every chunk drawn afresh with five calls."""
+    outages = 0
+    for c, start in enumerate(range(0, settings.trials, settings.chunk_size)):
+        size = min(settings.chunk_size, settings.trials - start)
+        gm, ge = reference_snrs(five_call_chunk(cfg, settings.seed, c, size), scheme)
+        outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
+    return outages

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ChannelRealization, hypoexp_pdf, run_scheme
+from oracles import (ChannelRealization, five_call_chunk, hypoexp_pdf,
+                     reference_outages, reference_snrs, run_scheme)
 
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
-from relaysop.montecarlo import (McSettings, _block_rows, _chunk_state,
-                                 _generator, _unit_rows, _rates, _reductions,
-                                 _rescale, _sample_chunk, _scheme_snrs,
-                                 _shared_snrs, estimate_sop, estimate_sop_grid,
-                                 estimate_sop_many)
+from relaysop.montecarlo import (_COMBINING, McSettings, _block_rows, _chunk_state,
+                                 _eavesdropper_half, _generator, _legitimate_half,
+                                 _Plan, _rates, _sample_chunk, _Scratch, _unit_rows,
+                                 estimate_sop, estimate_sop_grid, estimate_sop_many)
 
 SEED = 20250809
 
@@ -70,7 +70,7 @@ class TestRunScheme:
         arrays = _sample_chunk(cfg, SEED, 0, 200)
         gsk, gkd, gsd, gke, gse = arrays
         for scheme in Scheme:
-            gm, ge = _scheme_snrs(_shared_snrs(arrays), scheme)
+            gm, ge = reference_snrs(arrays, scheme)
             for i in range(200):
                 r = ChannelRealization(gsk[i], gkd[i], float(gsd[i]),
                                        gke[i], float(gse[i]))
@@ -162,7 +162,7 @@ class TestEstimateMany:
         s, outages = self.SETTINGS, 0
         for c, start in enumerate(range(0, s.trials, s.chunk_size)):
             arrays = _sample_chunk(cfg, s.seed, c, min(s.chunk_size, s.trials - start))
-            gm, ge = _scheme_snrs(_shared_snrs(arrays), scheme)
+            gm, ge = reference_snrs(arrays, scheme)
             outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
         return outages / s.trials
 
@@ -182,39 +182,6 @@ class TestEstimateMany:
     def test_empty_pair_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             estimate_sop_many(fig2_config(1, 10.0), [], self.SETTINGS)
-
-
-def five_call_chunk(cfg, seed, chunk_index, n_trials):
-    """Reference draw: one rng.random call per link group, sk, kd, sd, ke, se."""
-    rng = np.random.default_rng((seed, chunk_index))
-    n = cfg.n_relays
-    shapes = ((n_trials, n), (n_trials, n), n_trials, (n_trials, n), n_trials)
-    rates = (np.asarray(cfg.beta_sk), np.asarray(cfg.beta_kd), cfg.beta_sd,
-             np.asarray(cfg.alpha_ke), cfg.alpha_se)
-    return tuple(-np.log1p(-rng.random(shape)) / rate
-                 for shape, rate in zip(shapes, rates))
-
-
-def reference_snrs(arrays, scheme):
-    """(gamma_M, gamma_E) of a whole chunk the way run_scheme reads:
-    fancy-indexed picks, max and sums over full-chunk arrays."""
-    gsk, gkd, gsd, gke, gse = arrays
-    eff, rows = np.minimum(gsk, gkd), np.arange(len(gsd))
-    if scheme in (Scheme.MAX_E, Scheme.MIN_E):
-        k = np.argmax(gke, axis=1) if scheme is Scheme.MAX_E else np.argmin(gke, axis=1)
-        return gsd + eff[rows, k], gse + gke[rows, k]
-    gm = gsd + eff.sum(axis=1)
-    return gm, gse + (gke.max(axis=1) if scheme is Scheme.MAX_MRC else gke.sum(axis=1))
-
-
-def reference_outages(cfg, scheme, target, settings):
-    """Outage count of one pair, every chunk drawn afresh with five calls."""
-    outages = 0
-    for c, start in enumerate(range(0, settings.trials, settings.chunk_size)):
-        size = min(settings.chunk_size, settings.trials - start)
-        gm, ge = reference_snrs(five_call_chunk(cfg, settings.seed, c, size), scheme)
-        outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
-    return outages
 
 
 class TestEstimateGrid:
@@ -251,24 +218,74 @@ class TestEstimateGrid:
                                     five_call_chunk(cfg, SEED, 3, 1000)):
             assert np.array_equal(drawn, reference)
 
+    @staticmethod
+    def eavesdropper_groups(n):
+        """Configs in eavesdropper groups A, B, A, C, every relay's rates distinct.
+
+        The two A configs differ only in their legitimate rates; B differs
+        from A only in alpha_se, C only in alpha_ke[0], which is strong
+        enough to change the argmax pick of many rows.
+        """
+        def config(scale, alpha_ke0, alpha_se=0.9):
+            beta_sk = tuple(scale * (0.3 + 0.2 * k) for k in range(n))
+            beta_kd = tuple(scale * (0.5 + 0.1 * k) for k in range(n))
+            alpha_ke = (alpha_ke0,) + tuple(0.4 + 0.15 * k for k in range(1, n))
+            return NetworkConfig(n, beta_sk, beta_kd, 2.0 * scale, alpha_ke, alpha_se)
+        return [config(1.0, 0.6), config(1.0, 0.6, alpha_se=0.3),
+                config(0.2, 0.6), config(0.5, 0.08)]
+
+    def assert_grid_matches_reference(self, configs, pairs, settings):
+        expected = [[reference_outages(cfg, scheme, target, settings) / settings.trials
+                     for scheme, target in pairs] for cfg in configs]
+        for workers in (1, 4):
+            grid = estimate_sop_grid(configs, pairs, settings, workers=workers)
+            assert [[res.value for res in row] for row in grid] == expected
+
     @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_block_reductions_are_bit_identical(self, n):
+    def test_interleaved_eavesdropper_groups_match_reference(self, n):
+        # three chunks, the last one partial
+        settings = McSettings(trials=40_001, seed=31, chunk_size=1 << 14 | 7)
+        self.assert_grid_matches_reference(self.eavesdropper_groups(n), self.PAIRS, settings)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 32])
+    @pytest.mark.parametrize("pairs", [
+        [(Scheme.MAX_E, SecrecyTarget(0.0)), (Scheme.MIN_E, SecrecyTarget(0.5))],
+        [(Scheme.MIN_E, SecrecyTarget(0.5)), (Scheme.MIN_E, SecrecyTarget(0.0))],
+        [(Scheme.MAX_E, SecrecyTarget(0.5))],
+    ], ids=["max-e-and-min-e", "min-e", "max-e"])
+    def test_selection_only_grids_match_reference(self, n, pairs):
+        settings = McSettings(trials=20_001, seed=37, chunk_size=1 << 13 | 3)
+        self.assert_grid_matches_reference(self.eavesdropper_groups(n), pairs, settings)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("schemes", [list(Scheme), [Scheme.MIN_E, Scheme.MAX_E]],
+                             ids=["all-schemes", "selection-only"])
+    def test_block_reductions_are_bit_identical(self, n, schemes):
         # counts hide one-ulp changes, so compare the block arrays themselves;
         # blocks are drawn last first, as a thread may take them
-        cfg = fig2_config(n, 12.0)
+        cfg = self.eavesdropper_groups(n)[0]
+        target = SecrecyTarget(0.5)
+        plan = _Plan([(scheme, target) for scheme in schemes])
+        assert plan.selection_only == (Scheme.MAX_MRC not in schemes)
         rows = _block_rows(n)
         size = 2 * rows + 1001  # the last block is partial
         full = five_call_chunk(cfg, SEED, 2, size)
         gen, state = _generator(), _chunk_state(SEED, 2)
-        scratch = [np.empty((rows,) + u.shape[1:]) for u in full]
+        scratch = _Scratch(plan, rows, n)
         for lo in reversed(range(0, size, rows)):
             b = min(rows, size - lo)
-            block = _unit_rows(gen, state, size, n, lo, np.empty(b * (3 * n + 2)))
-            for scheme, gm, ge in _reductions(_rescale(block, _rates(cfg), scratch),
-                                              list(Scheme)):
-                ref_m, ref_e = reference_snrs(full, scheme)
-                assert np.array_equal(gm, ref_m[lo:lo + b])
-                assert np.array_equal(ge, ref_e[lo:lo + b])
+            sk, kd, sd, ke, se = _unit_rows(gen, state, size, n, lo,
+                                            np.empty(b * (3 * n + 2)))
+            picks, gamma_e, thresholds = _eavesdropper_half(plan, ke, se, _rates(cfg),
+                                                            scratch)
+            gamma_m = _legitimate_half(plan, sk, kd, sd, _rates(cfg), picks, scratch)
+            for scheme in schemes:
+                m, e = _COMBINING[scheme]
+                ref_m, ref_e = (ref[lo:lo + b] for ref in reference_snrs(full, scheme))
+                assert np.array_equal(gamma_m[m], ref_m)
+                assert np.array_equal(gamma_e[e], ref_e)
+                assert np.array_equal(thresholds[plan.thresholds.index((e, target.rho))],
+                                      target.rho * (1.0 + ref_e))
 
     def test_mixed_relay_counts_rejected(self):
         with pytest.raises(ValueError, match="same relay count"):
@@ -289,11 +306,11 @@ class TestEstimateGrid:
 class TestPointwiseStructure:
     def test_eavesdropper_snr_dominance_chain(self):
         cfg = fig2_config(4, 15.0)
-        shared = _shared_snrs(_sample_chunk(cfg, SEED, 0, 100_000))
-        _, ge_mrc = _scheme_snrs(shared, Scheme.MRC_MRC)
-        gm_maxmrc, ge_maxmrc = _scheme_snrs(shared, Scheme.MAX_MRC)
-        gm_maxe, ge_maxe = _scheme_snrs(shared, Scheme.MAX_E)
-        gm_mine, ge_mine = _scheme_snrs(shared, Scheme.MIN_E)
+        arrays = _sample_chunk(cfg, SEED, 0, 100_000)
+        _, ge_mrc = reference_snrs(arrays, Scheme.MRC_MRC)
+        gm_maxmrc, ge_maxmrc = reference_snrs(arrays, Scheme.MAX_MRC)
+        gm_maxe, ge_maxe = reference_snrs(arrays, Scheme.MAX_E)
+        gm_mine, ge_mine = reference_snrs(arrays, Scheme.MIN_E)
         assert np.all(ge_mrc >= ge_maxmrc)
         assert np.all(ge_maxmrc >= ge_maxe)  # equal: both take the best tap
         assert np.all(ge_maxe >= ge_mine)
@@ -303,8 +320,7 @@ class TestPointwiseStructure:
 
     def test_event_forms_identical_per_trial(self):
         cfg = fig2_config(2, 10.0)
-        gm, ge = _scheme_snrs(_shared_snrs(_sample_chunk(cfg, SEED, 0, 100_000)),
-                              Scheme.MRC_MRC)
+        gm, ge = reference_snrs(_sample_chunk(cfg, SEED, 0, 100_000), Scheme.MRC_MRC)
         for rs in (0.0, 0.3):
             target = SecrecyTarget(rs)
             ratio_form = (1.0 + gm) < target.rho * (1.0 + ge)

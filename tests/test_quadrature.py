@@ -260,9 +260,11 @@ class TestRelaySymmetry:
         assert self._quad_calls(monkeypatch, split, scheme) == n
 
 
-def test_brute_force_four_dimensional_max_e():
-    """Layered single-dimension oracle vs brute nested quadrature of the full
-    4-D integrand (tap t, rival max y, legitimate sum x, direct tap z)."""
+def test_brute_force_three_dimensional_max_e():
+    """Layered single-dimension oracle vs brute nested quadrature of the
+    max-e integrand over the tap t, the legitimate sum x and the direct tap
+    z; the rival max y < t is integrated in closed form,
+    P[y < t] = 1 - exp(-aother*t)."""
     cfg = NetworkConfig(2, beta_sk=(0.6, 0.9), beta_kd=(0.8, 0.5), beta_sd=1.1,
                         alpha_ke=(1.3, 0.7), alpha_se=0.9)
     target = SecrecyTarget(1.0)
@@ -279,19 +281,18 @@ def test_brute_force_four_dimensional_max_e():
         x_hi = -math.log(cut) * (1 / a + 1 / b)
         z_hi = -math.log(cut) / cfg.alpha_se
 
-        def integrand(y, x, t, z):
-            return (ake * math.exp(-ake * t) * aother * math.exp(-aother * y)
+        def integrand(x, t, z):
+            return (ake * math.exp(-ake * t) * -math.expm1(-aother * t)
                     * (b1 * math.exp(-b * x) + b2 * math.exp(-a * x))
                     * cfg.alpha_se * math.exp(-cfg.alpha_se * z))
 
-        # event: tap beats the rival (y < t) and the legitimate sum sits
-        # below the threshold plane (x < rho*(t+z) + rho - 1)
+        # event: tap beats the rival (y < t, integrated above) and the
+        # legitimate sum sits below the threshold plane (x < rho*(t+z) + rho - 1)
         val, _ = integrate.nquad(
             integrand,
-            [lambda x, t, z: (0.0, t),
-             lambda t, z: (0.0, min(x_hi, rho * (t + z) + rho - 1.0)),
+            [lambda t, z: (0.0, min(x_hi, rho * (t + z) + rho - 1.0)),
              (0.0, t_hi), (0.0, z_hi)],
-            opts=[{"epsabs": 1e-11, "epsrel": 1e-9, "limit": 60}] * 4)
+            opts=[{"epsabs": 1e-11, "epsrel": 1e-9, "limit": 60}] * 3)
         total += val
     layered = sop_quadrature(cfg, Scheme.MAX_E, target).value
     assert abs(total - layered) <= 1e-6
