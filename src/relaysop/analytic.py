@@ -20,7 +20,16 @@ The alternating subset sums and the difference-product weights can cancel
 catastrophically when rates nearly coincide (identical relays are the common
 case), so every assembly runs in mpmath at a working precision sized from
 the worst difference-product digit loss; only the finished, well-conditioned
-term values are converted back to floats.
+term values are converted back to floats. The builders skip mpmath's number
+objects and call its raw layer (mpmath.libmp) on `_mpf_` tuples: each
+mpf operator is exactly one call of mpf_add, mpf_sub, mpf_mul, mpf_div or
+mpf_neg at the context precision with round-to-nearest, and each float
+enters through from_float, so the same calls at the same precision and
+rounding give every addend bit for bit the value of its operator form
+(tests/oracles.py keeps that form). Negating a rounded value is exact, so a
+(-1)^m sign is a negation; float inputs convert exactly at any working
+precision, so each converts once per call. Only the finished addends become
+mpf objects, for the one escalating sum every builder goes through.
 """
 
 from __future__ import annotations
@@ -30,11 +39,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp,
+                          mpf_mul, mpf_neg, mpf_sub, round_nearest)
 
 from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
 from .expdist import MAX_RATES, spread_rates, subset_rate_sums, working_dps
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
                     require_valid)
+
+#: rounding of every raw-tuple operation, the mpf operators' default
+_RND = round_nearest
+_make = mp.make_mpf
 
 
 @dataclass(frozen=True)
@@ -60,9 +75,9 @@ def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
     clearly dominate that bound (high-SNR outage probabilities cancel 30+
     digits out of the difference-product weights), the evaluation repeats
     with enough extra digits for the total to stand clear. build() must
-    construct its terms from scratch so every constant picks up the ambient
-    precision. Raises ConvergenceError, carrying the last estimate and its
-    error bound, when max_rounds rounds do not clear it.
+    compute its terms at the ambient precision (mp.mp.prec), so each round
+    rebuilds them with more digits. Raises ConvergenceError, carrying the
+    last estimate and its error bound, when max_rounds rounds do not clear it.
     """
     dps = base_dps
     guard = mp.mpf(10) ** 12  # clear digits demanded between total and error
@@ -71,7 +86,7 @@ def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
             terms = build()
             total = mp.fsum([t if count == 1 else mp.fmul(count, t, exact=True)
                              for count, t in terms])
-            scale = max((abs(t) for _, t in terms), default=mp.mpf(0))
+            scale = _largest_magnitude([t._mpf_ for _, t in terms])
             if scale == 0:
                 return 0.0
             err = scale * mp.power(10, 2 - dps)
@@ -88,6 +103,22 @@ def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
         estimate=float(total), error_bound=float(err))
 
 
+def _largest_magnitude(raws):
+    """max(|t|) over raw mpf tuples, exactly, as an mpf (0 for none).
+
+    Only the values whose top bit sits highest can be largest; among them,
+    mantissas shifted to a common exponent order the magnitudes exactly.
+    """
+    nonzero = [r for r in raws if r[1]]
+    if not nonzero:
+        return mp.mpf(0)
+    top = max(exp + bc for _, _, exp, bc in nonzero)
+    tied = [r for r in nonzero if r[2] + r[3] == top]
+    low = min(exp for _, _, exp, _ in tied)
+    best = max(tied, key=lambda r: r[1] << (r[2] - low))
+    return _make(mpf_abs(best, mp.mp.prec, _RND))
+
+
 def _check_engine_size(config: NetworkConfig):
     require_valid(config)
     if config.n_relays > MAX_RATES:
@@ -96,15 +127,21 @@ def _check_engine_size(config: NetworkConfig):
             f"{config.n_relays}; use the Monte Carlo engine")
 
 
-def _mp_pair(beta_kD_k: float, beta_sd: float):
-    """Convolution coefficients of the per-relay legitimate sum, in mpmath.
+def _pair(a, b, prec: int):
+    """Convolution coefficients of the per-relay legitimate sum at prec.
 
-    Returns ((B1, rate_sd'), (B2, rate_kD')) with near-equal rates spread
-    apart first; f_X(x) = B1*exp(-rate_sd'*x) + B2*exp(-rate_kD'*x).
+    a and b are the spread dual-hop and direct rates as raw mpf; returns
+    ((B1, b), (B2, a)) with f_X(x) = B1*exp(-b*x) + B2*exp(-a*x).
     """
-    a, b = spread_rates((beta_kD_k, beta_sd))
-    a, b = mp.mpf(a), mp.mpf(b)
-    return ((a * b / (a - b), b), (a * b / (b - a), a))
+    ab = mpf_mul(a, b, prec, _RND)
+    return ((mpf_div(ab, mpf_sub(a, b, prec, _RND), prec, _RND), b),
+            (mpf_div(ab, mpf_sub(b, a, prec, _RND), prec, _RND), a))
+
+
+def _signed_sums(rates):
+    """subset_rate_sums as (odd size, raw rate sum, count); the float sums
+    convert exactly, so once per call serves every precision round."""
+    return [(m & 1, from_float(am), count) for m, am, count in subset_rate_sums(rates)]
 
 
 def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
@@ -121,92 +158,110 @@ def _selection_relay_terms(config: NetworkConfig, target: SecrecyTarget,
     cancellation error.
     """
     others = config.alpha_ke[:k] + config.alpha_ke[k + 1:]
-    base_dps = working_dps(spread_rates((config.beta_kD[k], config.beta_sd)))
-
-    def constants():
-        rho = mp.mpf(target.rho)
-        ase = mp.mpf(config.alpha_se)
-        ake = mp.mpf(config.alpha_ke[k])
-        return rho, rho - 1, ase, ake, _mp_pair(config.beta_kD[k], config.beta_sd)
+    spread = spread_rates((config.beta_kD[k], config.beta_sd))
+    base_dps = working_dps(spread)
+    a, b = (from_float(r) for r in spread)
+    rho, ase, ake = (from_float(x) for x in (target.rho, config.alpha_se,
+                                             config.alpha_ke[k]))
 
     if not others or minimize:
         # min of the rival taps is exponential with the summed rate (0 if none)
-        def build_threshold():
-            rho, rm1, ase, ake, pairs = constants()
-            alpha = mp.mpf(math.fsum(others)) if others else mp.mpf(0)
-            sel = ake / (alpha + ake)
-            return [(1, sel * ase * B * mp.exp(-b * rm1)
-                     / ((rho * b + ase) * ((ake + alpha) / rho + b)))
-                    for B, b in pairs]
+        alpha = from_float(math.fsum(others)) if others else fzero
+        terms = _region_sums(lambda prec: _min_e_regions(
+            rho, ase, ake, alpha, _pair(a, b, prec), prec), 2, base_dps)
+        # a single relay under max selection has the three-slot shape
+        return terms if minimize else (terms[0], 0.0, terms[1])
+    subs = _signed_sums(others)
+    return _region_sums(lambda prec: _max_e_regions(
+        rho, ase, ake, _pair(a, b, prec), subs, prec), 3, base_dps)
 
-        def build_slack():
-            rho, rm1, ase, ake, pairs = constants()
-            alpha = mp.mpf(math.fsum(others)) if others else mp.mpf(0)
-            sel = ake / (alpha + ake)
-            out = []
-            for B, b in pairs:
-                out.append((1, sel * B / b))
-                out.append((1, -sel * (B / b) * ase * mp.exp(-b * rm1) / (rho * b + ase)))
-            return out
 
-        i4 = _escalating_sum(build_threshold, base_dps)
-        i5 = _escalating_sum(build_slack, base_dps)
-        if minimize:
-            return (i4, i5)
-        # single relay under max selection: three-slot shape, no rival term
-        return (i4, 0.0, i5)
+def _region_sums(regions, n: int, base_dps: int) -> tuple:
+    """The escalating sums of the n addend lists regions(prec) returns.
 
-    subs = subset_rate_sums(others)
+    The sums escalate one by one, but the first to reach a precision builds
+    every region at it in one pass, which the others then reuse.
+    """
+    built: dict = {}
 
-    def hoisted():
-        """The constants, with each convolution pair's subset-loop invariants
-        (B, b, B/b, rho*b, ase + rho*b, exp(-b*(rho-1)))."""
-        rho, rm1, ase, ake, pairs = constants()
-        return rho, ase, ake, [(B, b, B / b, rho * b, ase + rho * b, mp.exp(-b * rm1))
-                               for B, b in pairs]
+    def region(i):
+        prec = mp.mp.prec
+        if prec not in built:
+            built[prec] = regions(prec)
+        return built[prec][i]
 
-    # A subset of size m carries the sign sgn = -(-1)^m. Multiplying by it is
-    # exact, so sgn * (x * y ...) equals the (sgn * x) * y ... it stands for.
-    def build_i1():
-        rho, ase, ake, pairs = hoisted()
-        rho_ase = rho * ase
-        out = []
-        for B, _, _, rb, arb, decay in pairs:
-            lead = rho_ase * B * decay / arb
-            # every subset adds sgn * lead/(ake + rho*b); the weighted signs
-            # sum to exactly 1, so the addend enters once
-            out.append((1, lead / (ake + rb)))
-            for m, am, count in subs:
-                out.append((count, (-1) ** m * (lead / (ake + mp.mpf(am) + rb))))
-        return out
+    return tuple(_escalating_sum(lambda i=i: region(i), base_dps) for i in range(n))
 
-    def build_i2():
-        rho, ase, ake, pairs = hoisted()
-        out = []
-        for m, am_f, count in subs:
-            sgn = -((-1) ** m)
-            am = mp.mpf(am_f)
-            ka = ake + am
-            sel = rho * am * ase / ka
-            for B, _, _, rb, arb, decay in pairs:
-                out.append((count, sgn * (sel * B * decay / ((ka + rb) * arb))))
-        return out
 
-    def build_i3():
-        rho, ase, ake, pairs = hoisted()
-        out = []
-        for m, am_f, count in subs:
-            sgn = -((-1) ** m)
-            am = mp.mpf(am_f)
-            sel = am / (ake + am)
-            for B, b, B_b, _, arb, decay in pairs:
-                out.append((count, sgn * (sel * B / b)))
-                out.append((count, -sgn * (sel * B_b * ase * decay / arb)))
-        return out
+def _min_e_regions(rho, ase, ake, alpha, pairs, prec: int):
+    """Threshold-active and slack addends of one min-e (or lone) relay at
+    prec, alpha the summed rival tap rate."""
+    rm1 = mpf_sub(rho, fone, prec, _RND)
+    sel = mpf_div(ake, mpf_add(alpha, ake, prec, _RND), prec, _RND)
+    sel_ase = mpf_mul(sel, ase, prec, _RND)
+    neg_sel = mpf_neg(sel, prec, _RND)
+    ka_rho = mpf_div(mpf_add(ake, alpha, prec, _RND), rho, prec, _RND)
+    threshold, slack = [], []
+    for B, b in pairs:
+        decay = mpf_exp(mpf_mul(mpf_neg(b, prec, _RND), rm1, prec, _RND), prec, _RND)
+        rba = mpf_add(mpf_mul(rho, b, prec, _RND), ase, prec, _RND)
+        t = mpf_mul(mpf_mul(sel_ase, B, prec, _RND), decay, prec, _RND)
+        threshold.append((1, _make(mpf_div(
+            t, mpf_mul(rba, mpf_add(ka_rho, b, prec, _RND), prec, _RND), prec, _RND))))
+        slack.append((1, _make(mpf_div(mpf_mul(sel, B, prec, _RND), b, prec, _RND))))
+        t = mpf_mul(neg_sel, mpf_div(B, b, prec, _RND), prec, _RND)
+        t = mpf_mul(mpf_mul(t, ase, prec, _RND), decay, prec, _RND)
+        slack.append((1, _make(mpf_div(t, rba, prec, _RND))))
+    return threshold, slack
 
-    return (_escalating_sum(build_i1, base_dps),
-            _escalating_sum(build_i2, base_dps),
-            _escalating_sum(build_i3, base_dps))
+
+def _max_e_regions(rho, ase, ake, pairs, subs, prec: int):
+    """The three region sums' addends of one max-e relay at prec.
+
+    Every addend is the expression the region's own loop would evaluate:
+    ka = ake + a_S and ka + rho*b are shared, not changed. A subset of
+    size m carries the sign -(-1)^m in the rival-boundary and slack sums and
+    (-1)^m in the threshold sum; negating a rounded value is exact.
+    """
+    rm1 = mpf_sub(rho, fone, prec, _RND)
+    rho_ase = mpf_mul(rho, ase, prec, _RND)
+    hoisted = []  # per pair: B, b, B/b, rho*b, ase + rho*b, exp(-b*(rho-1))
+    i1 = []  # per pair: its lead addend, then its subset addends
+    for B, b in pairs:
+        rb = mpf_mul(rho, b, prec, _RND)
+        arb = mpf_add(ase, rb, prec, _RND)
+        decay = mpf_exp(mpf_mul(mpf_neg(b, prec, _RND), rm1, prec, _RND), prec, _RND)
+        hoisted.append((B, b, mpf_div(B, b, prec, _RND), rb, arb, decay))
+        lead = mpf_div(mpf_mul(mpf_mul(rho_ase, B, prec, _RND), decay, prec, _RND),
+                       arb, prec, _RND)
+        # every subset adds sgn * lead/(ake + rho*b); the weighted signs
+        # sum to exactly 1, so the addend enters once
+        i1.append((lead, [(1, _make(mpf_div(lead, mpf_add(ake, rb, prec, _RND),
+                                            prec, _RND)))]))
+    i2, i3 = [], []
+    for odd, am, count in subs:
+        ka = mpf_add(ake, am, prec, _RND)
+        sel2 = mpf_div(mpf_mul(mpf_mul(rho, am, prec, _RND), ase, prec, _RND), ka,
+                       prec, _RND)
+        sel3 = mpf_div(am, ka, prec, _RND)
+        for (lead, out1), (B, b, B_b, rb, arb, decay) in zip(i1, hoisted):
+            kb = mpf_add(ka, rb, prec, _RND)
+            t1 = mpf_div(lead, kb, prec, _RND)
+            t2 = mpf_div(mpf_mul(mpf_mul(sel2, B, prec, _RND), decay, prec, _RND),
+                         mpf_mul(kb, arb, prec, _RND), prec, _RND)
+            t3 = mpf_div(mpf_mul(sel3, B, prec, _RND), b, prec, _RND)
+            t4 = mpf_mul(mpf_mul(mpf_mul(sel3, B_b, prec, _RND), ase, prec, _RND),
+                         decay, prec, _RND)
+            t4 = mpf_div(t4, arb, prec, _RND)
+            if odd:
+                t1, t4 = mpf_neg(t1), mpf_neg(t4)
+            else:
+                t2, t3 = mpf_neg(t2), mpf_neg(t3)
+            out1.append((count, _make(t1)))
+            i2.append((count, _make(t2)))
+            i3.append((count, _make(t3)))
+            i3.append((count, _make(t4)))
+    return [t for _, out1 in i1 for t in out1], i2, i3
 
 
 def _selection_breakdown(config: NetworkConfig, target: SecrecyTarget,
@@ -250,14 +305,16 @@ def sop_min_e(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
     return SopResult(_clip(min_e_breakdown(config, target).total), Engine.ANALYTIC)
 
 
-def _mp_cdf_weights(rates):
-    """Difference-product weights (w_i, r_i): F(x) = 1 - sum(w_i e^{-r_i x})."""
+def _cdf_weights(rates, prec: int):
+    """Difference-product weights (w_i, r_i) at prec, rates as raw mpf:
+    F(x) = 1 - sum(w_i e^{-r_i x})."""
     out = []
     for i, ri in enumerate(rates):
-        w = mp.mpf(1)
+        w = fone
         for j, rj in enumerate(rates):
             if j != i:
-                w *= rj / (rj - ri)
+                w = mpf_mul(w, mpf_div(rj, mpf_sub(rj, ri, prec, _RND), prec, _RND),
+                            prec, _RND)
         out.append((w, ri))
     return out
 
@@ -267,23 +324,28 @@ def sop_max_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
     destination combines the direct link and every relayed link."""
     _check_engine_size(config)
     legit = spread_rates((config.beta_sd,) + config.beta_kD)
-    subs = subset_rate_sums(config.alpha_ke)
+    rates = [from_float(r) for r in legit]
+    subs = _signed_sums(config.alpha_ke)
+    rho, ase = from_float(target.rho), from_float(config.alpha_se)
 
     def build():
-        rho = mp.mpf(target.rho)
-        rm1 = rho - 1
-        ase = mp.mpf(config.alpha_se)
-        sums = [(m, mp.mpf(am), count) for m, am, count in subs]
-        terms = [(1, mp.mpf(1))]
-        for w, b in _mp_cdf_weights([mp.mpf(r) for r in legit]):
-            lead = -ase * w * b * mp.exp(-b * rm1)
-            rb = rho * b
-            arb = ase + rb
-            terms.append((1, lead / (b * arb)))
-            # (lead * (-1)^m) * rho / ... with the exact sign taken outside
-            lead_rho = lead * rho
-            terms.extend((count, (-1) ** m * (lead_rho / ((am + rb) * arb)))
-                         for m, am, count in sums)
+        prec = mp.mp.prec
+        rm1 = mpf_sub(rho, fone, prec, _RND)
+        neg_ase = mpf_neg(ase, prec, _RND)
+        terms = [(1, _make(fone))]
+        for w, b in _cdf_weights(rates, prec):
+            lead = mpf_mul(mpf_mul(neg_ase, w, prec, _RND), b, prec, _RND)
+            lead = mpf_mul(lead, mpf_exp(mpf_mul(mpf_neg(b, prec, _RND), rm1, prec, _RND),
+                                         prec, _RND), prec, _RND)
+            rb = mpf_mul(rho, b, prec, _RND)
+            arb = mpf_add(ase, rb, prec, _RND)
+            terms.append((1, _make(mpf_div(lead, mpf_mul(b, arb, prec, _RND), prec, _RND))))
+            # (-1)^m * (lead*rho / ...), the sign an exact negation
+            lead_rho = mpf_mul(lead, rho, prec, _RND)
+            for odd, am, count in subs:
+                t = mpf_div(lead_rho, mpf_mul(mpf_add(am, rb, prec, _RND), arb, prec, _RND),
+                            prec, _RND)
+                terms.append((count, _make(mpf_neg(t) if odd else t)))
         return terms
 
     total = _escalating_sum(build, working_dps(legit))
@@ -296,18 +358,26 @@ def sop_mrc_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
     _check_engine_size(config)
     legit = spread_rates((config.beta_sd,) + config.beta_kD)
     eve = spread_rates((config.alpha_se,) + config.alpha_ke)
+    legit_rates = [from_float(r) for r in legit]
+    eve_rates = [from_float(r) for r in eve]
+    rho = from_float(target.rho)
 
     def build():
-        rho = mp.mpf(target.rho)
-        rm1 = rho - 1
-        wm = _mp_cdf_weights([mp.mpf(r) for r in legit])
-        we = _mp_cdf_weights([mp.mpf(r) for r in eve])
+        prec = mp.mp.prec
+        neg_rm1 = mpf_neg(mpf_sub(rho, fone, prec, _RND), prec, _RND)
+        we = _cdf_weights(eve_rates, prec)
         terms = []
-        for wi, bi in wm:
+        for wi, bi in _cdf_weights(legit_rates, prec):
+            # exp(-(rho-1)*b_i) and rho*b_i once per legitimate rate
+            decay = mpf_exp(mpf_mul(neg_rm1, bi, prec, _RND), prec, _RND)
+            rbi = mpf_mul(rho, bi, prec, _RND)
             for vp, ap in we:
-                prod = wi * vp
-                terms.append((1, prod))
-                terms.append((1, -prod * ap * mp.exp(-rm1 * bi) / (ap + rho * bi)))
+                prod = mpf_mul(wi, vp, prec, _RND)
+                t = mpf_mul(mpf_mul(mpf_neg(prod, prec, _RND), ap, prec, _RND), decay,
+                            prec, _RND)
+                terms.append((1, _make(prod)))
+                terms.append((1, _make(mpf_div(t, mpf_add(ap, rbi, prec, _RND),
+                                               prec, _RND))))
         return terms
 
     total = _escalating_sum(build, working_dps(legit, eve))

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+import relaysop.analytic as analytic
 from relaysop.expdist import (_digit_loss, spread_rates, subset_rate_sums,
                               working_dps)
 from relaysop.model import Scheme
@@ -268,3 +269,176 @@ def reference_outages(cfg, scheme, target, settings):
         gm, ge = reference_snrs(five_call_chunk(cfg, settings.seed, c, size), scheme)
         outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
     return outages
+
+
+# The closed-form builders in mpmath's operator form: every addend is the
+# same expression the package's raw-tuple builders (analytic._max_e_regions,
+# analytic._cdf_weights, ...) evaluate with libmp calls, so each addend and
+# each value the escalating sums return must be equal bit for bit. They sum
+# through analytic._escalating_sum, looked up at call time, so a test's
+# stand-in for it sees the addends of both forms.
+
+
+def mp_pair(beta_kD_k: float, beta_sd: float):
+    """Convolution coefficients ((B1, rate_sd'), (B2, rate_kD')) of the
+    per-relay legitimate sum: f_X(x) = B1*exp(-rate_sd'*x) + B2*exp(-rate_kD'*x)."""
+    a, b = spread_rates((beta_kD_k, beta_sd))
+    a, b = mp.mpf(a), mp.mpf(b)
+    return ((a * b / (a - b), b), (a * b / (b - a), a))
+
+
+def selection_relay_terms(config, target, k: int, minimize: bool):
+    """Region terms of relay k under eavesdropper-max or -min selection:
+    (threshold-active [, rival-boundary], slack), each an escalating sum."""
+    others = config.alpha_ke[:k] + config.alpha_ke[k + 1:]
+    base_dps = working_dps(spread_rates((config.beta_kD[k], config.beta_sd)))
+
+    def constants():
+        rho = mp.mpf(target.rho)
+        ase = mp.mpf(config.alpha_se)
+        ake = mp.mpf(config.alpha_ke[k])
+        return rho, rho - 1, ase, ake, mp_pair(config.beta_kD[k], config.beta_sd)
+
+    if not others or minimize:
+        def build_threshold():
+            rho, rm1, ase, ake, pairs = constants()
+            alpha = mp.mpf(math.fsum(others)) if others else mp.mpf(0)
+            sel = ake / (alpha + ake)
+            return [(1, sel * ase * B * mp.exp(-b * rm1)
+                     / ((rho * b + ase) * ((ake + alpha) / rho + b)))
+                    for B, b in pairs]
+
+        def build_slack():
+            rho, rm1, ase, ake, pairs = constants()
+            alpha = mp.mpf(math.fsum(others)) if others else mp.mpf(0)
+            sel = ake / (alpha + ake)
+            out = []
+            for B, b in pairs:
+                out.append((1, sel * B / b))
+                out.append((1, -sel * (B / b) * ase * mp.exp(-b * rm1) / (rho * b + ase)))
+            return out
+
+        i4 = analytic._escalating_sum(build_threshold, base_dps)
+        i5 = analytic._escalating_sum(build_slack, base_dps)
+        return (i4, i5) if minimize else (i4, 0.0, i5)
+
+    subs = subset_rate_sums(others)
+
+    def hoisted():
+        rho, rm1, ase, ake, pairs = constants()
+        return rho, ase, ake, [(B, b, B / b, rho * b, ase + rho * b, mp.exp(-b * rm1))
+                               for B, b in pairs]
+
+    def build_i1():
+        rho, ase, ake, pairs = hoisted()
+        rho_ase = rho * ase
+        out = []
+        for B, _, _, rb, arb, decay in pairs:
+            lead = rho_ase * B * decay / arb
+            out.append((1, lead / (ake + rb)))
+            for m, am, count in subs:
+                out.append((count, (-1) ** m * (lead / (ake + mp.mpf(am) + rb))))
+        return out
+
+    def build_i2():
+        rho, ase, ake, pairs = hoisted()
+        out = []
+        for m, am_f, count in subs:
+            sgn = -((-1) ** m)
+            am = mp.mpf(am_f)
+            ka = ake + am
+            sel = rho * am * ase / ka
+            for B, _, _, rb, arb, decay in pairs:
+                out.append((count, sgn * (sel * B * decay / ((ka + rb) * arb))))
+        return out
+
+    def build_i3():
+        rho, ase, ake, pairs = hoisted()
+        out = []
+        for m, am_f, count in subs:
+            sgn = -((-1) ** m)
+            am = mp.mpf(am_f)
+            sel = am / (ake + am)
+            for B, b, B_b, _, arb, decay in pairs:
+                out.append((count, sgn * (sel * B / b)))
+                out.append((count, -sgn * (sel * B_b * ase * decay / arb)))
+        return out
+
+    return (analytic._escalating_sum(build_i1, base_dps),
+            analytic._escalating_sum(build_i2, base_dps),
+            analytic._escalating_sum(build_i3, base_dps))
+
+
+def mp_cdf_weights(rates):
+    """Difference-product weights (w_i, r_i): F(x) = 1 - sum(w_i e^{-r_i x})."""
+    out = []
+    for i, ri in enumerate(rates):
+        w = mp.mpf(1)
+        for j, rj in enumerate(rates):
+            if j != i:
+                w *= rj / (rj - ri)
+        out.append((w, ri))
+    return out
+
+
+def max_mrc_total(config, target) -> float:
+    """Unclipped max-mrc closed form."""
+    legit = spread_rates((config.beta_sd,) + config.beta_kD)
+    subs = subset_rate_sums(config.alpha_ke)
+
+    def build():
+        rho = mp.mpf(target.rho)
+        rm1 = rho - 1
+        ase = mp.mpf(config.alpha_se)
+        sums = [(m, mp.mpf(am), count) for m, am, count in subs]
+        terms = [(1, mp.mpf(1))]
+        for w, b in mp_cdf_weights([mp.mpf(r) for r in legit]):
+            lead = -ase * w * b * mp.exp(-b * rm1)
+            rb = rho * b
+            arb = ase + rb
+            terms.append((1, lead / (b * arb)))
+            lead_rho = lead * rho
+            terms.extend((count, (-1) ** m * (lead_rho / ((am + rb) * arb)))
+                         for m, am, count in sums)
+        return terms
+
+    return analytic._escalating_sum(build, working_dps(legit))
+
+
+def mrc_mrc_total(config, target) -> float:
+    """Unclipped mrc-mrc closed form."""
+    legit = spread_rates((config.beta_sd,) + config.beta_kD)
+    eve = spread_rates((config.alpha_se,) + config.alpha_ke)
+
+    def build():
+        rho = mp.mpf(target.rho)
+        rm1 = rho - 1
+        wm = mp_cdf_weights([mp.mpf(r) for r in legit])
+        we = mp_cdf_weights([mp.mpf(r) for r in eve])
+        terms = []
+        for wi, bi in wm:
+            for vp, ap in we:
+                prod = wi * vp
+                terms.append((1, prod))
+                terms.append((1, -prod * ap * mp.exp(-rm1 * bi) / (ap + rho * bi)))
+        return terms
+
+    return analytic._escalating_sum(build, working_dps(legit, eve))
+
+
+def closed_form_per_relay(config, scheme, target) -> tuple:
+    """Per-relay region terms of max-e or min-e, every relay evaluated afresh."""
+    return tuple(selection_relay_terms(config, target, k, scheme is Scheme.MIN_E)
+                 for k in range(config.n_relays))
+
+
+def closed_form_sop(config, scheme, target) -> float:
+    """The clipped closed-form SOP of any scheme, in mpmath's operator form."""
+    if scheme in (Scheme.MAX_E, Scheme.MIN_E):
+        total = math.fsum(t for terms in closed_form_per_relay(config, scheme, target)
+                          for t in terms)
+    elif scheme is Scheme.MAX_MRC:
+        total = max_mrc_total(config, target)
+    else:
+        total = mrc_mrc_total(config, target)
+    return min(1.0, max(0.0, total))

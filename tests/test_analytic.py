@@ -2,11 +2,13 @@ import csv
 import functools
 import itertools
 import math
+import random
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import oracles
 import relaysop.analytic as analytic
 from relaysop.analytic import (_escalating_sum, diversity_slope, max_e_breakdown,
                                min_e_breakdown, slope_between, sop_analytic,
@@ -251,23 +253,121 @@ def _equal_split_spec(n, relays_e_db):
 class TestReferenceBytes:
     """The closed forms reproduce the recorded reference CSV text exactly."""
 
-    def test_identical_and_laddered_taps_at_n5_to_8(self):
+    def test_every_analytic_row(self):
         with open(REFERENCE, newline="") as fh:
             want = {(r["file"], r["snr_db"], r["scheme"], r["rs"]): r["sop"]
                     for r in csv.DictReader(fh) if r["engine"] == "analytic"}
-        got = {}
+        # the four families at N 1-4 on a 20 dB grid, then identical and
+        # laddered taps at N 5-8 at 0 and 80 dB
+        points = [(f"{family}_n{n}.csv", family_config(family, n, snr), snr)
+                  for family in ("fig2", "fig3-balanced", "fig3-unbalanced", "fig4")
+                  for n in (1, 2, 3, 4) for snr in (0.0, 20.0, 40.0, 60.0, 80.0)]
         for n in (5, 6, 7, 8):
             for stem, taps in (("identical", 3.0), ("laddered", [float(k) for k in range(n)])):
                 spec = _equal_split_spec(n, taps)
-                for snr in (0.0, 80.0):
-                    config = config_at(spec, snr)
-                    for scheme in Scheme:
-                        for rs in (0.0, 1.0):
-                            value = sop_analytic(config, scheme, SecrecyTarget(rs)).value
-                            got[(f"{stem}_n{n}.csv", _fmt(snr), scheme.value,
-                                 _fmt(rs))] = _fmt(value)
-        assert len(got) == 128
-        assert got == {key: want[key] for key in got}
+                points += [(f"{stem}_n{n}.csv", config_at(spec, snr), snr)
+                           for snr in (0.0, 80.0)]
+        got = {}
+        for name, config, snr in points:
+            for scheme in Scheme:
+                for rs in (0.0, 1.0):
+                    value = sop_analytic(config, scheme, SecrecyTarget(rs)).value
+                    got[(name, _fmt(snr), scheme.value, _fmt(rs))] = _fmt(value)
+        assert len(got) == len(want) == 768
+        assert got == want
+
+
+def _random_networks(seed, per_size=2):
+    """Networks at N 1-8 with axis SNRs over 0-100 dB. Taps cycle through
+    ceil(N/2) values, so from N = 3 on equal taps sit apart (k and
+    k + ceil(N/2)); hops cycle through two offsets, so some relays with
+    equal taps are one relay class and some are not."""
+    rng = random.Random(seed)
+    rate = lambda db: 10.0 ** (-db / 10.0)  # noqa: E731
+    for n in range(1, 9):
+        for _ in range(per_size):
+            snr = rng.uniform(0.0, 100.0)
+            taps = [rng.uniform(-3.0, 9.0) for _ in range((n + 1) // 2)]
+            hops = [rng.uniform(-10.0, 0.0) for _ in range(2)]
+            yield NetworkConfig(
+                n, tuple(rate(snr + hops[k % 2]) for k in range(n)),
+                tuple(rate(snr + hops[(k // 2) % 2]) for k in range(n)),
+                rate(snr + rng.uniform(-10.0, 0.0)),
+                tuple(rate(taps[k % len(taps)]) for k in range(n)),
+                rate(rng.uniform(-3.0, 3.0)))
+
+
+def _with_addends(monkeypatch, fn, *args):
+    """fn(*args), plus the addends of every escalating sum it ran, each sum
+    as its precision and its sorted (count, raw mpf) pairs."""
+    sums = set()
+
+    def recording(build, base_dps, max_rounds=6):
+        def recorded():
+            terms = build()
+            sums.add((mp.mp.prec, tuple(sorted((c, t._mpf_) for c, t in terms))))
+            return terms
+        return _escalating_sum(recorded, base_dps, max_rounds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "_escalating_sum", recording)
+        return fn(*args), sums
+
+
+class TestRawLayerAgainstOperatorForm:
+    """The raw-tuple builders give every addend and value the mpf-operator
+    builders of tests/oracles.py give, down to the last bit."""
+
+    @pytest.mark.parametrize("rs", [0.0, 0.5, 1.0, 2.0])
+    def test_random_networks(self, monkeypatch, rs):
+        target = SecrecyTarget(rs)
+        for config in _random_networks(SEED + int(4 * rs)):
+            for scheme in Scheme:
+                got, got_sums = _with_addends(
+                    monkeypatch, lambda: sop_analytic(config, scheme, target).value)
+                want, want_sums = _with_addends(
+                    monkeypatch, oracles.closed_form_sop, config, scheme, target)
+                assert repr(got) == repr(want)
+                # equal relays share one evaluation in the package
+                assert got_sums == want_sums
+            for scheme, breakdown in ((Scheme.MAX_E, max_e_breakdown),
+                                      (Scheme.MIN_E, min_e_breakdown)):
+                assert repr(breakdown(config, target).per_relay) == repr(
+                    oracles.closed_form_per_relay(config, scheme, target))
+
+    def test_identical_taps_through_several_precision_rounds(self, monkeypatch):
+        precisions = set()
+        for n in (4, 5, 6, 7, 8):
+            config = fig2_config(n, 80.0)
+            for scheme in (Scheme.MAX_MRC, Scheme.MRC_MRC):
+                for rs in (0.0, 1.0):
+                    target = SecrecyTarget(rs)
+                    got, got_sums = _with_addends(
+                        monkeypatch, lambda: sop_analytic(config, scheme, target).value)
+                    want, want_sums = _with_addends(
+                        monkeypatch, oracles.closed_form_sop, config, scheme, target)
+                    assert repr(got) == repr(want)
+                    assert got_sums == want_sums
+                    precisions.add(len(got_sums))
+        assert {3, 4, 5} <= precisions  # one sum per call, built once per round
+
+
+class TestLargestMagnitude:
+    def test_matches_max_of_absolute_values(self):
+        rng = random.Random(SEED)
+        with mp.workdps(40):
+            cases = [[], [mp.mpf(0)], [mp.mpf(0), mp.mpf(-0.75), mp.mpf(0.5)],
+                     # one top bit, mantissas of 2, 3 and 4 bits, a tie
+                     [mp.mpf(0.75), mp.mpf(-0.875), mp.mpf(0.5), mp.mpf(-0.9375),
+                      mp.mpf(0.9375)]]
+            for _ in range(200):
+                cases.append([mp.mpf(rng.randint(-2 ** 60, 2 ** 60))
+                              * mp.mpf(2) ** rng.randint(-3, 3) / 3
+                              for _ in range(rng.randint(1, 12))])
+            for values in cases:
+                want = max((abs(v) for v in values), default=mp.mpf(0))
+                got = analytic._largest_magnitude([v._mpf_ for v in values])
+                assert got._mpf_ == want._mpf_
 
 
 class TestRelayPermutations:
