@@ -28,24 +28,24 @@ enters through from_float, so the same calls at the same precision and
 rounding give every addend bit for bit the value of its operator form
 (tests/oracles.py keeps that form). Negating a rounded value is exact, so a
 (-1)^m sign is a negation; float inputs convert exactly at any working
-precision, so each converts once per call. Only the finished addends become
-mpf objects, for the one escalating sum every builder goes through.
+precision, so each converts once per call. The builders return raw
+addends; `_escalating_sum`, the one sum every builder goes through, is the
+one place they become mpf objects, for mp.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp,
                           mpf_mul, mpf_neg, mpf_sub, round_nearest)
 
-from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
-from .expdist import MAX_RATES, spread_rates, subset_rate_sums, working_dps
+from .errors import ConvergenceError
+from .expdist import spread_rates, subset_rate_sums, working_dps
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
-                    require_valid)
+                    require_supported)
 
 #: rounding of every raw-tuple operation, the mpf operators' default
 _RND = round_nearest
@@ -66,15 +66,16 @@ class SchemeTermBreakdown:
 
 
 def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
-    """Sum the weighted mpf addends produced by build() under escalating precision.
+    """Sum the weighted addends produced by build() under escalating precision.
 
-    build() returns (count, term) pairs, each standing for `count` equal
-    addends. The weights are applied exactly, so the total is the sum over
-    every addend, rounded once. The rounding error of a cancelling sum is
-    bounded by its largest addend times 10^(2-dps); when the total does not
-    clearly dominate that bound (high-SNR outage probabilities cancel 30+
-    digits out of the difference-product weights), the evaluation repeats
-    with enough extra digits for the total to stand clear. build() must
+    build() returns (count, term) pairs, term a raw mpf tuple, each standing
+    for `count` equal addends. The weights are applied exactly, so the total
+    is the sum over every addend, rounded once. The rounding error of a
+    cancelling sum is bounded by its largest addend times 10^(2-dps); when
+    the total does not clearly dominate that bound (high-SNR outage
+    probabilities cancel 30+ digits out of the difference-product weights),
+    the evaluation repeats with enough extra digits for the total to stand
+    clear. build() must
     compute its terms at the ambient precision (mp.mp.prec), so each round
     rebuilds them with more digits. Raises ConvergenceError, carrying the
     last estimate and its error bound, when max_rounds rounds do not clear it.
@@ -84,12 +85,13 @@ def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
     for _ in range(max_rounds):
         with mp.workdps(dps):
             terms = build()
-            total = mp.fsum([t if count == 1 else mp.fmul(count, t, exact=True)
+            total = mp.fsum([_make(t) if count == 1
+                             else mp.fmul(count, _make(t), exact=True)
                              for count, t in terms])
-            scale = _largest_magnitude([t._mpf_ for _, t in terms])
-            if scale == 0:
+            scale = _largest_magnitude([t for _, t in terms])
+            if scale == fzero:
                 return 0.0
-            err = scale * mp.power(10, 2 - dps)
+            err = _make(scale) * mp.power(10, 2 - dps)
             if abs(total) >= guard * err or err < mp.mpf("1e-330"):
                 return float(total)
             if total != 0:
@@ -104,27 +106,19 @@ def _escalating_sum(build, base_dps: int, max_rounds: int = 6) -> float:
 
 
 def _largest_magnitude(raws):
-    """max(|t|) over raw mpf tuples, exactly, as an mpf (0 for none).
+    """max(|t|) over raw mpf tuples, exactly, as a raw tuple (fzero for none).
 
     Only the values whose top bit sits highest can be largest; among them,
     mantissas shifted to a common exponent order the magnitudes exactly.
     """
     nonzero = [r for r in raws if r[1]]
     if not nonzero:
-        return mp.mpf(0)
+        return fzero
     top = max(exp + bc for _, _, exp, bc in nonzero)
     tied = [r for r in nonzero if r[2] + r[3] == top]
     low = min(exp for _, _, exp, _ in tied)
     best = max(tied, key=lambda r: r[1] << (r[2] - low))
-    return _make(mpf_abs(best, mp.mp.prec, _RND))
-
-
-def _check_engine_size(config: NetworkConfig):
-    require_valid(config)
-    if config.n_relays > MAX_RATES:
-        raise UnsupportedSizeError(
-            f"closed-form engines support at most {MAX_RATES} relays, got "
-            f"{config.n_relays}; use the Monte Carlo engine")
+    return mpf_abs(best, mp.mp.prec, _RND)
 
 
 def _pair(a, b, prec: int):
@@ -206,12 +200,12 @@ def _min_e_regions(rho, ase, ake, alpha, pairs, prec: int):
         decay = mpf_exp(mpf_mul(mpf_neg(b, prec, _RND), rm1, prec, _RND), prec, _RND)
         rba = mpf_add(mpf_mul(rho, b, prec, _RND), ase, prec, _RND)
         t = mpf_mul(mpf_mul(sel_ase, B, prec, _RND), decay, prec, _RND)
-        threshold.append((1, _make(mpf_div(
-            t, mpf_mul(rba, mpf_add(ka_rho, b, prec, _RND), prec, _RND), prec, _RND))))
-        slack.append((1, _make(mpf_div(mpf_mul(sel, B, prec, _RND), b, prec, _RND))))
+        threshold.append((1, mpf_div(
+            t, mpf_mul(rba, mpf_add(ka_rho, b, prec, _RND), prec, _RND), prec, _RND)))
+        slack.append((1, mpf_div(mpf_mul(sel, B, prec, _RND), b, prec, _RND)))
         t = mpf_mul(neg_sel, mpf_div(B, b, prec, _RND), prec, _RND)
         t = mpf_mul(mpf_mul(t, ase, prec, _RND), decay, prec, _RND)
-        slack.append((1, _make(mpf_div(t, rba, prec, _RND))))
+        slack.append((1, mpf_div(t, rba, prec, _RND)))
     return threshold, slack
 
 
@@ -236,8 +230,7 @@ def _max_e_regions(rho, ase, ake, pairs, subs, prec: int):
                        arb, prec, _RND)
         # every subset adds sgn * lead/(ake + rho*b); the weighted signs
         # sum to exactly 1, so the addend enters once
-        i1.append((lead, [(1, _make(mpf_div(lead, mpf_add(ake, rb, prec, _RND),
-                                            prec, _RND)))]))
+        i1.append((lead, [(1, mpf_div(lead, mpf_add(ake, rb, prec, _RND), prec, _RND))]))
     i2, i3 = [], []
     for odd, am, count in subs:
         ka = mpf_add(ake, am, prec, _RND)
@@ -257,10 +250,10 @@ def _max_e_regions(rho, ase, ake, pairs, subs, prec: int):
                 t1, t4 = mpf_neg(t1), mpf_neg(t4)
             else:
                 t2, t3 = mpf_neg(t2), mpf_neg(t3)
-            out1.append((count, _make(t1)))
-            i2.append((count, _make(t2)))
-            i3.append((count, _make(t3)))
-            i3.append((count, _make(t4)))
+            out1.append((count, t1))
+            i2.append((count, t2))
+            i3.append((count, t3))
+            i3.append((count, t4))
     return [t for _, out1 in i1 for t in out1], i2, i3
 
 
@@ -269,7 +262,7 @@ def _selection_breakdown(config: NetworkConfig, target: SecrecyTarget,
     """Per-relay terms of max or min selection. A relay's terms depend only on
     its tap and dual-hop rates (its rival multiset is everyone else), so
     each distinct relay is evaluated once and shared by its equals."""
-    _check_engine_size(config)
+    require_supported(config, Engine.ANALYTIC)
     by_class: dict = {}
     per_relay = []
     for k, key in enumerate(zip(config.alpha_ke, config.beta_kD)):
@@ -322,7 +315,7 @@ def _cdf_weights(rates, prec: int):
 def sop_max_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
     """SOP with a passive eavesdropper taking its best relayed link while the
     destination combines the direct link and every relayed link."""
-    _check_engine_size(config)
+    require_supported(config, Engine.ANALYTIC)
     legit = spread_rates((config.beta_sd,) + config.beta_kD)
     rates = [from_float(r) for r in legit]
     subs = _signed_sums(config.alpha_ke)
@@ -332,20 +325,20 @@ def sop_max_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
         prec = mp.mp.prec
         rm1 = mpf_sub(rho, fone, prec, _RND)
         neg_ase = mpf_neg(ase, prec, _RND)
-        terms = [(1, _make(fone))]
+        terms = [(1, fone)]
         for w, b in _cdf_weights(rates, prec):
             lead = mpf_mul(mpf_mul(neg_ase, w, prec, _RND), b, prec, _RND)
             lead = mpf_mul(lead, mpf_exp(mpf_mul(mpf_neg(b, prec, _RND), rm1, prec, _RND),
                                          prec, _RND), prec, _RND)
             rb = mpf_mul(rho, b, prec, _RND)
             arb = mpf_add(ase, rb, prec, _RND)
-            terms.append((1, _make(mpf_div(lead, mpf_mul(b, arb, prec, _RND), prec, _RND))))
+            terms.append((1, mpf_div(lead, mpf_mul(b, arb, prec, _RND), prec, _RND)))
             # (-1)^m * (lead*rho / ...), the sign an exact negation
             lead_rho = mpf_mul(lead, rho, prec, _RND)
             for odd, am, count in subs:
                 t = mpf_div(lead_rho, mpf_mul(mpf_add(am, rb, prec, _RND), arb, prec, _RND),
                             prec, _RND)
-                terms.append((count, _make(mpf_neg(t) if odd else t)))
+                terms.append((count, mpf_neg(t) if odd else t))
         return terms
 
     total = _escalating_sum(build, working_dps(legit))
@@ -355,7 +348,7 @@ def sop_max_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
 def sop_mrc_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
     """SOP when both the destination and the eavesdropper combine the direct
     link with every relayed link."""
-    _check_engine_size(config)
+    require_supported(config, Engine.ANALYTIC)
     legit = spread_rates((config.beta_sd,) + config.beta_kD)
     eve = spread_rates((config.alpha_se,) + config.alpha_ke)
     legit_rates = [from_float(r) for r in legit]
@@ -375,9 +368,8 @@ def sop_mrc_mrc(config: NetworkConfig, target: SecrecyTarget) -> SopResult:
                 prod = mpf_mul(wi, vp, prec, _RND)
                 t = mpf_mul(mpf_mul(mpf_neg(prod, prec, _RND), ap, prec, _RND), decay,
                             prec, _RND)
-                terms.append((1, _make(prod)))
-                terms.append((1, _make(mpf_div(t, mpf_add(ap, rbi, prec, _RND),
-                                               prec, _RND))))
+                terms.append((1, prod))
+                terms.append((1, mpf_div(t, mpf_add(ap, rbi, prec, _RND), prec, _RND)))
         return terms
 
     total = _escalating_sum(build, working_dps(legit, eve))
@@ -395,31 +387,3 @@ _DISPATCH = {
 def sop_analytic(config: NetworkConfig, scheme: Scheme, target: SecrecyTarget) -> SopResult:
     """Closed-form SOP for any scheme."""
     return _DISPATCH[scheme](config, target)
-
-
-def slope_between(sop_lo: float, sop_hi: float,
-                  snr_lo_db: float, snr_hi_db: float) -> float:
-    """Decade slope of an outage curve between two axis points.
-
-    A curve proportional to SNR^-d has slope d for any point pair.
-    """
-    if not snr_hi_db > snr_lo_db:
-        raise ValueError("snr_hi_db must exceed snr_lo_db")
-    if sop_lo <= 0.0 or sop_hi <= 0.0:
-        raise SlopeUndefinedError(
-            f"SOP underflowed to zero between {snr_lo_db} and {snr_hi_db} dB")
-    return -(math.log10(sop_hi) - math.log10(sop_lo)) / ((snr_hi_db - snr_lo_db) / 10.0)
-
-
-def diversity_slope(scheme: Scheme, config_at: Callable[[float], NetworkConfig],
-                    target: SecrecyTarget, snr_lo_db: float, snr_hi_db: float) -> float:
-    """Decades of SOP lost per decade of SNR between two axis points.
-
-    config_at maps an axis SNR in dB to the network at that operating point.
-    The high-SNR limit of this slope is the secrecy diversity order.
-    """
-    if not snr_hi_db > snr_lo_db:
-        raise ValueError("snr_hi_db must exceed snr_lo_db")
-    lo = sop_analytic(config_at(snr_lo_db), scheme, target).value
-    hi = sop_analytic(config_at(snr_hi_db), scheme, target).value
-    return slope_between(lo, hi, snr_lo_db, snr_hi_db)

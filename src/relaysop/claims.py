@@ -5,16 +5,18 @@ grids, schemes and thresholds are the cells it reads, and one table per
 variant (`analytic_table`). It appends a "PASS: ..." or "FAIL: ..." line to
 a report and returns whether it held. A cell missing from a table (its row
 failed) fails every claim that reads it, and the FAIL line names it.
-`reproduce` and the acceptance tests both run these claims.
+`reproduce` and the acceptance tests both run these claims; `slope` and
+the reports read the diversity slopes defined here.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from .analytic import slope_between, sop_analytic
+from .analytic import sop_analytic
 from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
-from .model import Scheme, SecrecyTarget
+from .model import Engine, NetworkConfig, Scheme, SecrecyTarget
 from .sweep import config_at, snr_grid
 
 #: where fig3-unbalanced's swept hop is negligible next to its 30 dB pinned
@@ -31,7 +33,35 @@ TIE_TOL = 1e-12
 def analytic_table(rows) -> dict:
     """(snr_db, scheme, rs) -> SOP of a sweep's ok analytic rows."""
     return {(r.snr_db, r.scheme, r.rs): r.sop for r in rows
-            if r.status == "ok" and r.engine == "analytic"}
+            if r.status == "ok" and r.engine is Engine.ANALYTIC}
+
+
+def slope_between(sop_lo: float, sop_hi: float,
+                  snr_lo_db: float, snr_hi_db: float) -> float:
+    """Decade slope of an outage curve between two axis points.
+
+    A curve proportional to SNR^-d has slope d for any point pair.
+    """
+    if not snr_hi_db > snr_lo_db:
+        raise ValueError("snr_hi_db must exceed snr_lo_db")
+    if sop_lo <= 0.0 or sop_hi <= 0.0:
+        raise SlopeUndefinedError(
+            f"SOP underflowed to zero between {snr_lo_db} and {snr_hi_db} dB")
+    return -(math.log10(sop_hi) - math.log10(sop_lo)) / ((snr_hi_db - snr_lo_db) / 10.0)
+
+
+def diversity_slope(scheme: Scheme, network_at: Callable[[float], NetworkConfig],
+                    target: SecrecyTarget, snr_lo_db: float, snr_hi_db: float) -> float:
+    """Decades of analytic SOP lost per decade of SNR between two axis points.
+
+    network_at maps an axis SNR in dB to the network at that operating point.
+    The high-SNR limit of this slope is the secrecy diversity order.
+    """
+    if not snr_hi_db > snr_lo_db:
+        raise ValueError("snr_hi_db must exceed snr_lo_db")
+    lo = sop_analytic(network_at(snr_lo_db), scheme, target).value
+    hi = sop_analytic(network_at(snr_hi_db), scheme, target).value
+    return slope_between(lo, hi, snr_lo_db, snr_hi_db)
 
 
 class _Cells:

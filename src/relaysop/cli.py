@@ -1,6 +1,7 @@
 """Command-line front end: eval, sweep, reproduce, slope.
 
-`eval` configs and sweep specs go through the one link parser of `sweep`;
+`eval` configs and sweep specs go through the one link parser of `sweep`,
+and an `eval` row through the one dispatch and CSV writer of sweep rows;
 `reproduce` runs the figure presets as sweeps, writes a wide CSV per figure
 and a report of the claims in `claims`. Exit codes: 0 success, 1 engine
 error (no convergence, undefined slope, failed sweep rows; a failed claim
@@ -15,18 +16,15 @@ import json
 import os
 import sys
 
-from .analytic import diversity_slope, sop_analytic
-from .claims import analytic_table, figure_report
-from .errors import ConvergenceError, SlopeUndefinedError, UnsupportedSizeError
-from .model import NetworkConfig, Scheme, SecrecyTarget, require_valid
-from .montecarlo import McSettings, estimate_sop
+from .claims import analytic_table, diversity_slope, figure_report
+from .errors import ConvergenceError, SlopeUndefinedError, SpecValidationError
+from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, is_integer,
+                    is_number, require_valid)
+from .montecarlo import McSettings
 from .presets import FIGURE_PRESETS, figure_sweep_specs
-from .quadrature import QuadSettings, sop_quadrature
-from .sweep import (CSV_HEADER, FIXED_POLICIES, SpecValidationError, _fmt,
-                    _is_int, _is_number, config_at, config_from_links,
+from .quadrature import QuadSettings
+from .sweep import (FIXED_POLICIES, _evaluate, _fmt, config_at, config_from_links,
                     parse_links, parse_sweep_spec, run_sweep, write_rows)
-
-_ENGINE_FLAGS = ("analytic", "mc", "quad")
 
 
 class CliValidationError(ValueError):
@@ -53,7 +51,7 @@ def load_network_config(path: str) -> NetworkConfig:
     for short {"mean_snr_db": ...} (fixed-db) or {"rate": ...} (fixed-rate)."""
     data = _load_json(path)
     n = data.get("n_relays")
-    if not _is_int(n) or n < 1:
+    if not is_integer(n) or n < 1:
         raise CliValidationError(f"n_relays: must be a positive integer, got {n!r}")
     violations: list = []
     links = parse_links(data.get("links"), n, violations)
@@ -69,29 +67,23 @@ def load_network_config(path: str) -> NetworkConfig:
 
 def _cmd_eval(args) -> int:
     config = load_network_config(args.config)
-    scheme = Scheme(args.scheme)
-    target = SecrecyTarget(args.rs)
-    if args.engine == "analytic":
-        res = sop_analytic(config, scheme, target)
-    elif args.engine == "quad":
-        res = sop_quadrature(config, scheme, target,
-                             QuadSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol))
-    else:
-        res = estimate_sop(config, scheme, target,
-                           McSettings(args.trials, args.seed, args.chunk_size),
-                           workers=args.workers)
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    w.writerow(["", scheme.value, _fmt(target.rs), args.engine, _fmt(res.value),
-                _fmt(res.ci_halfwidth), _fmt(res.trials), _fmt(res.seed), "ok"])
+    row = _evaluate(Engine(args.engine), config, Scheme(args.scheme), args.rs,
+                    McSettings(args.trials, args.seed, args.chunk_size),
+                    QuadSettings(args.rel_tol, args.abs_tol), workers=args.workers)
+    write_rows(sys.stdout, [row])
     return 0
 
 
-def _specs_by_count(data: dict, **defaults):
-    """(n, SweepSpec) per relay count of a spec whose n_relays may be a list."""
+def _specs_by_count(data: dict, **defaults) -> list:
+    """(n, SweepSpec) per relay count of a spec whose n_relays may be a
+    nonempty list of distinct counts; every count is parsed before any runs."""
     counts = data.get("n_relays")
-    for n in counts if isinstance(counts, list) else [counts]:
-        yield n, parse_sweep_spec({**defaults, **data, "n_relays": n})
+    if not isinstance(counts, list):
+        counts = [counts]
+    elif not counts or any(n in counts[:i] for i, n in enumerate(counts)):
+        raise SpecValidationError([f"n_relays: a list of relay counts must be "
+                                   f"nonempty and without repeats, got {counts!r}"])
+    return [(n, parse_sweep_spec({**defaults, **data, "n_relays": n})) for n in counts]
 
 
 def _cmd_sweep(args) -> int:
@@ -129,8 +121,8 @@ def _write_wide_csv(path, figure, labeled_rows):
                 cells.setdefault(key, {})[r.engine] = r
             for key in sorted(cells, key=lambda k: (k[0], k[1].value, k[2])):
                 snr, scheme, rs = key
-                a = cells[key].get("analytic")
-                m = cells[key].get("mc")
+                a = cells[key].get(Engine.ANALYTIC)
+                m = cells[key].get(Engine.MONTE_CARLO)
                 status = "ok"
                 for r in (a, m):
                     if r is not None and r.status != "ok":
@@ -146,11 +138,11 @@ def _write_wide_csv(path, figure, labeled_rows):
 def _cmd_reproduce(args) -> int:
     figures = list(FIGURE_PRESETS) if args.figure == "all" else [args.figure]
     os.makedirs(args.out_dir, exist_ok=True)
-    engines = ("analytic",) if args.skip_mc else ("analytic", "mc")
+    engines = (Engine.ANALYTIC,) if args.skip_mc else (Engine.ANALYTIC, Engine.MONTE_CARLO)
     engines_ok = True
     for figure in figures:
-        specs = figure_sweep_specs(figure, trials=args.trials, seed=args.seed,
-                                   engines=engines)
+        specs = figure_sweep_specs(figure, engines=engines,
+                                   mc={"trials": args.trials, "seed": args.seed})
         labeled_rows = []
         tables = []
         for label, spec in specs:
@@ -175,11 +167,12 @@ def _cmd_slope(args) -> int:
     lo = slope_cfg.get("snr_lo_db", 30.0)
     hi = slope_cfg.get("snr_hi_db", 40.0)
     for key, val in (("snr_lo_db", lo), ("snr_hi_db", hi)):
-        if not _is_number(val):
+        if not is_number(val):
             raise CliValidationError(f"slope.{key}: must be a finite number, got {val!r}")
+    specs = _specs_by_count(data, engines=[Engine.ANALYTIC])
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["scheme", "n_relays", "rs", "slope"])
-    for n, spec in _specs_by_count(data, engines=["analytic"]):
+    for n, spec in specs:
         for scheme in spec.schemes:
             for rs in spec.rs_values:
                 slope = diversity_slope(
@@ -202,13 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[s.value for s in Scheme])
     q.add_argument("--rs", type=float, required=True,
                    help="threshold secrecy rate, bits per channel use")
-    q.add_argument("--engine", default="analytic", choices=_ENGINE_FLAGS)
-    q.add_argument("--trials", type=int, default=1_000_000)
-    q.add_argument("--seed", type=int, default=12345)
-    q.add_argument("--chunk-size", type=int, default=1 << 16)
+    q.add_argument("--engine", default=Engine.ANALYTIC.value,
+                   choices=[e.value for e in Engine])
+    q.add_argument("--trials", type=int, default=McSettings.trials)
+    q.add_argument("--seed", type=int, default=McSettings.seed)
+    q.add_argument("--chunk-size", type=int, default=McSettings.chunk_size)
     q.add_argument("--workers", type=int, default=1)
-    q.add_argument("--rel-tol", type=float, default=1e-9)
-    q.add_argument("--abs-tol", type=float, default=1e-12)
+    q.add_argument("--rel-tol", type=float, default=QuadSettings.rel_tol)
+    q.add_argument("--abs-tol", type=float, default=QuadSettings.abs_tol)
     q.set_defaults(fn=_cmd_eval)
 
     s = sub.add_parser("sweep", help="run an SNR sweep spec to CSV")
@@ -221,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--figure", required=True,
                    choices=[*FIGURE_PRESETS, "all"])
     r.add_argument("--out-dir", required=True)
-    r.add_argument("--trials", type=int, default=1_000_000)
-    r.add_argument("--seed", type=int, default=12345)
+    r.add_argument("--trials", type=int, default=McSettings.trials)
+    r.add_argument("--seed", type=int, default=McSettings.seed)
     r.add_argument("--workers", type=int, default=1)
     r.add_argument("--skip-mc", action="store_true",
                    help="emit analytic columns only")
@@ -238,8 +232,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliValidationError, SpecValidationError, UnsupportedSizeError,
-            ValueError) as exc:
+    except ValueError as exc:  # every validation error, UnsupportedSizeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, SlopeUndefinedError) as exc:

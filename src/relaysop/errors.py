@@ -7,9 +7,18 @@ class UnsupportedSizeError(ValueError):
     Analytic max-e and max-mrc enumerate the sub-multisets of the
     eavesdropper rates: up to 2^N - 1 of them when every rate differs. The
     analytic and quadrature engines share a cap of N = 8
-    (`expdist.MAX_RATES`), although only those two closed forms enumerate
-    subsets. The Monte Carlo engine has no cap.
+    (`model.MAX_RELAYS`, checked by `model.require_supported`), although
+    only those two closed forms enumerate subsets. The Monte Carlo engine
+    has no cap.
     """
+
+
+class SpecValidationError(ValueError):
+    """Sweep spec, config or settings problems, with one message per violation."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 class ConvergenceError(RuntimeError):

@@ -3,7 +3,7 @@
 `subset_rate_sums` enumerates the inclusion-exclusion terms of a maximum of
 independent exponentials over rate sub-multisets (equal rates grouped, each
 sub-multiset weighted by the number of subsets it stands for), capped at
-MAX_RATES rates, the relay cap of the closed-form and quadrature engines.
+the relay cap of the analytic and quadrature engines (`model.MAX_RELAYS`).
 `spread_rates` nudges near-coincident rates apart so difference products
 stay nonzero, and `working_dps` sizes the mpmath precision those products
 need from their worst-case cancellation.
@@ -16,14 +16,12 @@ from itertools import product
 from typing import Sequence
 
 from .errors import UnsupportedSizeError
+from .model import MAX_RELAYS
 
 #: rates closer than this (relative) are treated as equal
 EPS_EQUAL_RATE = 1e-9
 #: multiplicative offset scale used to spread near-equal rates apart
 SPREAD_OFFSET = 1e-6
-#: subset enumeration grows as 2^N for distinct rates; the relay cap of the
-#: analytic and quadrature engines
-MAX_RATES = 8
 #: extra decimal digits beyond the estimated cancellation loss
 _DPS_BASE = 25
 
@@ -37,13 +35,13 @@ def subset_rate_sums(rates: Sequence[float]):
     subsets, all of size m = sum(j_g) and with the same rate sum (math.fsum
     rounds the exact sum once, whatever the order of its addends). There are
     prod(m_g + 1) - 1 entries instead of 2^N - 1, so N identical rates need
-    only N, and the counts add up to 2^N - 1. Capped at MAX_RATES rates.
+    only N, and the counts add up to 2^N - 1. Capped at MAX_RELAYS rates.
     """
     rates = tuple(rates)
     n = len(rates)
-    if n > MAX_RATES:
+    if n > MAX_RELAYS:
         raise UnsupportedSizeError(
-            f"subset enumeration supports at most {MAX_RATES} rates, got {n}; "
+            f"subset enumeration supports at most {MAX_RELAYS} rates, got {n}; "
             "use the Monte Carlo engine for larger networks")
     groups: dict = {}
     for r in rates:
@@ -58,15 +56,15 @@ def subset_rate_sums(rates: Sequence[float]):
     return out
 
 
-def spread_rates(rates: Sequence[float], eps: float = EPS_EQUAL_RATE,
-                 offset: float = SPREAD_OFFSET) -> tuple:
+def spread_rates(rates: Sequence[float]) -> tuple:
     """Nudge near-equal rates apart so difference products stay nonzero.
 
-    Rates within `eps` relative of each other (transitively) form a group;
-    each group member i gets a multiplicative offset centered on zero,
-    (pos - (g-1)/2) * offset, so the group mean is preserved to first order
-    and the induced distribution bias is O(offset^2). Positions follow the
-    original index order for determinism. Output keeps the input order.
+    Rates within EPS_EQUAL_RATE relative of each other (transitively) form
+    a group; each group member i gets a multiplicative offset centered on
+    zero, (pos - (g-1)/2) * SPREAD_OFFSET, so the group mean is preserved to
+    first order and the induced distribution bias is O(SPREAD_OFFSET^2).
+    Positions follow the original index order for determinism. Output keeps
+    the input order.
     """
     rates = tuple(float(r) for r in rates)
     if not rates:
@@ -76,12 +74,13 @@ def spread_rates(rates: Sequence[float], eps: float = EPS_EQUAL_RATE,
             raise ValueError(f"rates must be strictly positive and finite, got {r!r}")
     n = len(rates)
     order = sorted(range(n), key=lambda i: (rates[i], i))
+    offset = SPREAD_OFFSET
     while True:
         groups = []
         for idx in order:
             if groups:
                 prev = groups[-1][-1]
-                if rates[idx] - rates[prev] <= eps * max(rates[idx], rates[prev]):
+                if rates[idx] - rates[prev] <= EPS_EQUAL_RATE * max(rates[idx], rates[prev]):
                     groups[-1].append(idx)
                     continue
             groups.append([idx])

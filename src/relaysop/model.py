@@ -2,7 +2,8 @@
 
 All rate parameters are exponential rates in linear scale (mean link SNR =
 1/rate). Decibels appear only at I/O boundaries; convert once on input with
-``db_to_rate``.
+``db_to_rate``. Every layer shares the input predicates and the relay cap
+of the analytic and quadrature engines stated here.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
+
+from .errors import UnsupportedSizeError
 
 
 class Scheme(Enum):
@@ -23,16 +26,31 @@ class Scheme(Enum):
 
 
 class Engine(Enum):
-    """Which engine produced a SOP estimate."""
+    """The three engines, by the name the command line and the CSV give them."""
 
     ANALYTIC = "analytic"
-    MONTE_CARLO = "monte_carlo"
-    QUADRATURE = "quadrature"
+    MONTE_CARLO = "mc"
+    QUADRATURE = "quad"
+
+
+#: relay cap of the analytic and quadrature engines: analytic max-e and
+#: max-mrc enumerate up to 2^N - 1 eavesdropper rate subsets
+MAX_RELAYS = 8
+
+
+def is_number(x) -> bool:
+    """A finite int or float; bool is an int subclass in Python but not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def is_integer(x) -> bool:
+    """An int; bool is an int subclass in Python but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def db_to_rate(mean_snr_db: float) -> float:
     """Exponential rate for a mean link SNR given in dB: 10^(-dB/10)."""
-    if not (isinstance(mean_snr_db, (int, float)) and math.isfinite(mean_snr_db)):
+    if not is_number(mean_snr_db):
         raise ValueError(f"mean SNR in dB must be finite, got {mean_snr_db!r}")
     try:
         return 10.0 ** (-mean_snr_db / 10.0)
@@ -45,14 +63,16 @@ def db_to_rate(mean_snr_db: float) -> float:
 class SecrecyTarget:
     """Secrecy-rate threshold rs (bits per channel use) and rho = 2^(2*rs).
 
-    rho is precomputed once; every engine phrases the outage event through it.
+    rho is precomputed once; every engine phrases the outage event through
+    it as (1 + gamma_M) < rho * (1 + gamma_E), ties not counting. At rs = 0
+    that is the intercept event, which a rate clamped at 0 cannot express.
     """
 
     rs: float
     rho: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.rs, (int, float)) and math.isfinite(self.rs)) or self.rs < 0:
+        if not is_number(self.rs) or self.rs < 0:
             raise ValueError(f"threshold rate must be finite and >= 0, got {self.rs!r}")
         object.__setattr__(self, "rs", float(self.rs))
         try:
@@ -60,18 +80,6 @@ class SecrecyTarget:
         except OverflowError:
             raise ValueError(f"threshold rate {self.rs!r} is too large: "
                              f"rho = 2^(2*rs) overflows a float") from None
-
-
-def secrecy_outage(gamma_m: float, gamma_e: float, target: SecrecyTarget) -> bool:
-    """Canonical outage event: (1+gamma_m) < rho*(1+gamma_e).
-
-    Equivalent to the unclamped secrecy rate 0.5*log2((1+gm)/(1+ge)) falling
-    below rs; at rs = 0 this is the intercept event (negative secrecy
-    capacity), which the clamped rate cannot express. The ratio form also
-    avoids log/exp rounding at the threshold, so it is the one every engine
-    uses. Ties count as non-outage (strict inequality).
-    """
-    return (1.0 + gamma_m) < target.rho * (1.0 + gamma_e)
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ class NetworkConfig:
 
 
 def _check_rate(value, name: str, violations: list):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)) or value <= 0:
+    if not is_number(value) or value <= 0:
         violations.append(f"{name}: rate must be strictly positive and finite, got {value!r}")
 
 
@@ -124,7 +132,7 @@ def validate_config(config: NetworkConfig) -> list:
     """Return every invariant violation found (empty list means valid)."""
     violations = []
     n = config.n_relays
-    if not isinstance(n, int) or n < 1:
+    if not is_integer(n) or n < 1:
         violations.append(f"n_relays: must be a positive integer, got {n!r}")
         return violations
     for name, values in (("beta_sk", config.beta_sk),
@@ -149,13 +157,22 @@ def require_valid(config: NetworkConfig) -> None:
         raise ValueError("invalid network config: " + "; ".join(violations))
 
 
+def require_supported(config: NetworkConfig, engine: Engine) -> None:
+    """require_valid, then the relay cap of the analytic and quadrature
+    engines; the Monte Carlo engine has no cap."""
+    require_valid(config)
+    if config.n_relays > MAX_RELAYS:
+        raise UnsupportedSizeError(
+            f"the {engine.value} engine supports at most {MAX_RELAYS} relays, got "
+            f"{config.n_relays}; use the Monte Carlo engine")
+
+
 @dataclass(frozen=True)
 class SopResult:
     """A secrecy outage probability with its provenance.
 
     ci_halfwidth is the 95% confidence half-width and is present exactly for
-    Monte Carlo results; it may exceed the [0,1] range when added to value,
-    so ci_bounds() clips on report.
+    Monte Carlo results; value +- ci_halfwidth may leave [0, 1].
     """
 
     value: float
@@ -174,8 +191,3 @@ class SopResult:
             raise ValueError("only Monte Carlo results carry a confidence half-width")
         if self.ci_halfwidth is not None and self.ci_halfwidth < 0:
             raise ValueError("confidence half-width must be nonnegative")
-
-    def ci_bounds(self) -> tuple:
-        """95% interval clipped to [0,1]; equals (value, value) when exact."""
-        hw = self.ci_halfwidth or 0.0
-        return (max(0.0, self.value - hw), min(1.0, self.value + hw))

@@ -32,27 +32,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecValidationError
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
-                    require_valid)
+                    is_integer, require_valid)
 
 _Z95 = 1.96  # normal 95% two-sided quantile used for the reported half-width
 
 
 @dataclass(frozen=True)
 class McSettings:
-    """Trial count, base seed and chunk size of a Monte Carlo run."""
+    """Trial count, base seed and chunk size of a Monte Carlo run, the `mc`
+    section of a sweep spec; the defaults are every spec's and command's."""
 
-    trials: int
-    seed: int
+    trials: int = 1_000_000
+    seed: int = 12345
     chunk_size: int = 1 << 16
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be a 64-bit nonnegative integer")
+        problems = []
+        if not (is_integer(self.trials) and self.trials >= 1):
+            problems.append(f"mc.trials: must be a positive integer, got {self.trials!r}")
+        if not (is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+            problems.append(f"mc.seed: must be a 64-bit nonnegative integer, "
+                            f"got {self.seed!r}")
+        if not (is_integer(self.chunk_size) and self.chunk_size >= 1):
+            problems.append(f"mc.chunk_size: must be a positive integer, "
+                            f"got {self.chunk_size!r}")
+        if problems:
+            raise SpecValidationError(problems)
 
 
 #: float64 values of unit exponentials in one block; a block and one config's
@@ -107,15 +114,6 @@ def _rates(config: NetworkConfig):
     """Per-link rates in the order of _unit_rows's groups."""
     return (np.asarray(config.beta_sk), np.asarray(config.beta_kd), config.beta_sd,
             np.asarray(config.alpha_ke), config.alpha_se)
-
-
-def _sample_chunk(config: NetworkConfig, seed: int, chunk_index: int, n_trials: int):
-    """Vectorized draw of a whole chunk: the link SNR arrays (gsk, gkd, gsd,
-    gke, gse)."""
-    n = config.n_relays
-    unit = _unit_rows(_generator(), _chunk_state(seed, chunk_index), n_trials, n, 0,
-                      np.empty(n_trials * (3 * n + 2)))
-    return tuple(u / rate for u, rate in zip(unit, _rates(config)))
 
 
 #: how each scheme combines at (the destination, the eavesdropper): through

@@ -12,8 +12,9 @@ original setup did not state.
 
 from __future__ import annotations
 
-from .sweep import (SpecValidationError, config_from_links, parse_links,
-                    parse_sweep_spec)
+from .errors import SpecValidationError
+from .model import Engine
+from .sweep import config_from_links, parse_links, parse_sweep_spec
 
 # mean SNRs in dB unless noted; fractions are linear-scale shares of the axis
 _EVE_LADDER_DB = (0.0, 3.0, 6.0, 9.0)
@@ -100,15 +101,14 @@ def family_config(family: str, n_relays: int, snr_db: float):
     return config_from_links(links, n_relays, snr_db)
 
 
-def figure_sweep_specs(figure: str, trials: int = 1_000_000, seed: int = 12345,
-                       engines=("analytic", "mc")):
-    """(label, SweepSpec) pairs for one figure preset, parsed as sweep specs:
-    a bad trial count or seed raises SpecValidationError naming mc.trials or
-    mc.seed."""
+def figure_sweep_specs(figure: str, engines=(Engine.ANALYTIC, Engine.MONTE_CARLO),
+                       mc=None):
+    """(label, SweepSpec) pairs for one figure preset, parsed as sweep specs
+    with `mc` as their `mc` section: a bad trial count or seed raises
+    SpecValidationError naming mc.trials or mc.seed."""
     preset = FIGURE_PRESETS[figure]
     return [(variant["label"], parse_sweep_spec({
                 "n_relays": variant["n_relays"], "snr_db": preset["snr_db"],
                 "rs_values": preset["rs_values"], "schemes": preset["schemes"],
-                "engines": engines, "links": variant["links"],
-                "mc": {"trials": trials, "seed": seed}}))
+                "engines": engines, "links": variant["links"], "mc": mc or {}}))
             for variant in preset["variants"]]

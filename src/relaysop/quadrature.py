@@ -22,7 +22,7 @@ have equal selection integrals, so each distinct relay is integrated once
 and its value counted for every relay like it.
 
 Infinite ranges are truncated at quantiles whose residual mass is below
-`tail_cutoff_mass`; the truncated mass is added to the reported error bound.
+_TAIL_MASS; the truncated mass is added to the reported error bound.
 """
 
 from __future__ import annotations
@@ -32,34 +32,31 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .errors import ConvergenceError, UnsupportedSizeError
-from .expdist import MAX_RATES
+from .errors import ConvergenceError, SpecValidationError
 from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, SopResult,
-                    require_valid)
+                    is_number, require_supported)
 
 _GROUP_EPS = 1e-9  # rates this close (relative) are integrated as exactly equal
+#: QUADPACK's `limit`: the most subintervals one integral may be split into
+_MAX_SUBINTERVALS = 40
+#: residual mass of each truncated infinite range
+_TAIL_MASS = 1e-14
 
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Tolerances and truncation policy for the quadrature engine.
-
-    `max_depth` is QUADPACK's `limit`: the largest number of subintervals
-    the adaptive rule may split one integral into, not a recursion depth.
-    """
+    """Tolerances of the quadrature engine, the `quad` section of a sweep
+    spec; the defaults are every spec's and command's."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 40
-    tail_cutoff_mass: float = 1e-14
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0.0 < self.tail_cutoff_mass <= 1e-6:
-            raise ValueError("tail_cutoff_mass must lie in (0, 1e-6]")
+        problems = [f"quad.{name}: must be a finite positive number, got {value!r}"
+                    for name, value in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol))
+                    if not (is_number(value) and value > 0)]
+        if problems:
+            raise SpecValidationError(problems)
 
 
 def _group_rates(rates):
@@ -235,7 +232,7 @@ def _quad(fn, hi, settings: QuadSettings, eps_scale: float):
         fn, 0.0, hi,
         epsabs=settings.abs_tol * eps_scale,
         epsrel=settings.rel_tol * eps_scale,
-        limit=settings.max_depth,
+        limit=_MAX_SUBINTERVALS,
         full_output=1)
     return out[0], out[1]
 
@@ -262,7 +259,7 @@ def _relay_integral(config: NetworkConfig, target: SecrecyTarget,
         win = _tap_survival(plan, alpha_se, rho * t + rm1)
         return ake * math.exp(-ake * t) * w * (1.0 - win)
 
-    return _quad(integrand, -math.log(settings.tail_cutoff_mass) / ake, settings,
+    return _quad(integrand, -math.log(_TAIL_MASS) / ake, settings,
                  0.5 / config.n_relays)
 
 
@@ -283,7 +280,6 @@ def _selection_integral(config: NetworkConfig, target: SecrecyTarget,
     are the relay order of taps listed in ascending dB, as the presets list
     them, so those sums keep the order a plain relay loop gives.
     """
-    cut = settings.tail_cutoff_mass
     taps = config.alpha_ke
     done = {}
     total = 0.0
@@ -296,7 +292,7 @@ def _selection_integral(config: NetworkConfig, target: SecrecyTarget,
                                           rivals, minimize)
         val_k, err_k = done[relay]
         total += val_k
-        err += err_k + cut
+        err += err_k + _TAIL_MASS
     return total, err
 
 
@@ -310,14 +306,13 @@ def _max_mrc_integral(config, target, settings):
     """
     rho = target.rho
     rm1 = rho - 1.0
-    cut = settings.tail_cutoff_mass
     alpha_se = config.alpha_se
     taps = config.alpha_ke
     terms = _poly_exp_terms([config.beta_sd, *config.beta_kD])
     base = 1.0 - _tap_survival(_tap_plan(terms, alpha_se, rho, survival=True),
                                alpha_se, rm1)
     plan = _tap_plan(terms, alpha_se, rho, survival=False)
-    u_hi = max(-math.log(cut / config.n_relays) / a for a in taps)
+    u_hi = max(-math.log(_TAIL_MASS / config.n_relays) / a for a in taps)
 
     def integrand(u):
         dens = _tap_density(plan, alpha_se, rho * u + rm1)
@@ -327,33 +322,28 @@ def _max_mrc_integral(config, target, settings):
         return rho * dens * (1.0 - w)
 
     val, err = _quad(integrand, u_hi, settings, 0.5)
-    return base + val, err + cut
+    return base + val, err + _TAIL_MASS
 
 
 def _mrc_mrc_integral(config, target, settings):
     rho = target.rho
     rm1 = rho - 1.0
-    cut = settings.tail_cutoff_mass
     plan_m = _phase_plan(_poly_exp_terms([config.beta_sd, *config.beta_kD]))
     eve = [config.alpha_se, *config.alpha_ke]
     terms_e = _poly_exp_terms(eve)
-    x_hi = _phase_quantile_bound(eve, cut)
+    x_hi = _phase_quantile_bound(eve, _TAIL_MASS)
 
     def integrand(x):
         return (1.0 - _phase_tail(plan_m, rho * x + rm1)) * _phase_pdf(terms_e, x)
 
     val, err = _quad(integrand, x_hi, settings, 0.5)
-    return val, err + cut
+    return val, err + _TAIL_MASS
 
 
 def sop_quadrature(config: NetworkConfig, scheme: Scheme, target: SecrecyTarget,
                    settings: QuadSettings = QuadSettings()) -> SopResult:
     """SOP by adaptive quadrature of the defining probability integral."""
-    require_valid(config)
-    if config.n_relays > MAX_RATES:
-        raise UnsupportedSizeError(
-            f"the quadrature engine supports at most {MAX_RATES} relays, got "
-            f"{config.n_relays}; use the Monte Carlo engine")
+    require_supported(config, Engine.QUADRATURE)
     if scheme is Scheme.MAX_E:
         val, err = _selection_integral(config, target, settings, minimize=False)
     elif scheme is Scheme.MIN_E:

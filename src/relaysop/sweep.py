@@ -6,28 +6,28 @@ derive from the axis SNR. All Monte Carlo rows of a sweep evaluate together
 in one grid estimate, so every axis point shares each chunk's draws (worker
 threads take blocks of trials); rows are emitted in a fixed order (snr
 major, then scheme, rs, engine) so output files are byte-identical across
-runs and worker counts for a fixed seed.
+runs and worker counts for a fixed seed. One dispatch, `_evaluate`, runs
+the analytic and quad rows and `eval`; it is private so that a tracer that
+wraps the public functions sees each engine call directly under run_sweep.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analytic import sop_analytic
-from .errors import ConvergenceError, UnsupportedSizeError
-from .model import (NetworkConfig, Scheme, SecrecyTarget, db_to_rate,
-                    require_valid)
-from .montecarlo import McSettings, estimate_sop_grid
+from .errors import ConvergenceError, SpecValidationError, UnsupportedSizeError
+from .model import (Engine, NetworkConfig, Scheme, SecrecyTarget, db_to_rate,
+                    is_integer, is_number, require_valid)
+from .montecarlo import McSettings, estimate_sop, estimate_sop_grid
 from .quadrature import QuadSettings, sop_quadrature
 
 LINK_GROUPS = ("s_relays", "relays_d", "s_d", "relays_e", "s_e")
 _RELAY_GROUPS = frozenset({"s_relays", "relays_d", "relays_e"})
 _HOP_GROUPS = frozenset({"s_relays", "relays_d"})
-ENGINE_NAMES = ("analytic", "mc", "quad")
 #: each policy with its value key; equal-split takes no values
 POLICY_KEYS = {"fixed-db": "mean_snr_db", "fixed-rate": "rate",
                "fraction-of-axis": "fraction", "equal-split": None}
@@ -36,14 +36,6 @@ FIXED_POLICIES = ("fixed-db", "fixed-rate")
 
 CSV_HEADER = ("snr_db", "scheme", "rs", "engine", "sop", "ci_halfwidth",
               "trials", "seed", "status")
-
-
-class SpecValidationError(ValueError):
-    """Sweep/config spec problems, with one message per violation."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ def _parse_policy(group: str, data, n_relays: int, violations) -> Optional[LinkP
     vals = raw if isinstance(raw, (list, tuple)) else [raw]
     ok = True
     for v in vals:
-        if not _is_number(v):
+        if not is_number(v):
             violations.append(f"{where}.{key}: entries must be finite numbers, got {v!r}")
             ok = False
         elif kind != "fixed-db" and v <= 0:
@@ -154,21 +146,8 @@ class SweepSpec:
     schemes: tuple
     engines: tuple
     links: dict
-    trials: int = 1_000_000
-    seed: int = 12345
-    chunk_size: int = 1 << 16
-    quad_rel_tol: float = 1e-9
-    quad_abs_tol: float = 1e-12
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; bool is an int subclass in Python but not a count."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number; bool is an int subclass in Python but not a number."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    mc: McSettings = McSettings()
+    quad: QuadSettings = QuadSettings()
 
 
 def _section(data: dict, key: str, violations) -> dict:
@@ -178,6 +157,17 @@ def _section(data: dict, key: str, violations) -> dict:
         return sub
     violations.append(f"{key}: expected an object, got {sub!r}")
     return {}
+
+
+def _settings(cls, data: dict, key: str, violations):
+    """The settings object of an optional section, from the keys it names;
+    its own check's problems are appended to `violations` (None then)."""
+    section = _section(data, key, violations)
+    try:
+        return cls(**{f.name: section[f.name] for f in fields(cls) if f.name in section})
+    except SpecValidationError as exc:
+        violations.extend(exc.violations)
+        return None
 
 
 def _nonempty_list(data: dict, key: str, violations) -> list:
@@ -195,7 +185,7 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         raise SpecValidationError(["spec root must be an object"])
 
     n = data.get("n_relays")
-    if not _is_int(n) or n < 1:
+    if not is_integer(n) or n < 1:
         v.append(f"n_relays: must be a positive integer, got {n!r}")
         n = 1
 
@@ -204,16 +194,16 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
     stop = grid.get("stop", start)
     step = grid.get("step", 1.0)
     for name, val in (("start", start), ("stop", stop), ("step", step)):
-        if not _is_number(val):
+        if not is_number(val):
             v.append(f"snr_db.{name}: must be a finite number, got {val!r}")
-    if _is_number(step) and not step > 0:
+    if is_number(step) and not step > 0:
         v.append(f"snr_db.step: must be > 0, got {step!r}")
-    if _is_number(start) and _is_number(stop) and stop < start:
+    if is_number(start) and is_number(stop) and stop < start:
         v.append("snr_db: stop must be >= start")
 
     rs_values = _nonempty_list(data, "rs_values", v)
     for r in rs_values:
-        if not _is_number(r) or r < 0:
+        if not is_number(r) or r < 0:
             v.append(f"rs_values: entries must be finite and >= 0, got {r!r}")
 
     schemes = []
@@ -223,40 +213,24 @@ def parse_sweep_spec(data: dict) -> SweepSpec:
         except ValueError:
             v.append(f"schemes: unknown scheme {s!r}")
 
-    engines = tuple(_nonempty_list(data, "engines", v))
-    for e in engines:
-        if e not in ENGINE_NAMES:
-            v.append(f"engines: expected one of {ENGINE_NAMES}, got {e!r}")
+    engines = []
+    for e in _nonempty_list(data, "engines", v):
+        try:
+            engines.append(Engine(e))
+        except ValueError:
+            v.append(f"engines: expected one of {tuple(x.value for x in Engine)}, "
+                     f"got {e!r}")
 
     links = parse_links(data.get("links"), n, v)
-
-    mc = _section(data, "mc", v)
-    trials = mc.get("trials", 1_000_000)
-    seed = mc.get("seed", 12345)
-    chunk = mc.get("chunk_size", 1 << 16)
-    if not _is_int(trials) or trials < 1:
-        v.append(f"mc.trials: must be a positive integer, got {trials!r}")
-    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
-        v.append(f"mc.seed: must be a 64-bit nonnegative integer, got {seed!r}")
-    if not _is_int(chunk) or chunk < 1:
-        v.append(f"mc.chunk_size: must be a positive integer, got {chunk!r}")
-
-    quad = _section(data, "quad", v)
-    rel_tol = quad.get("rel_tol", 1e-9)
-    abs_tol = quad.get("abs_tol", 1e-12)
-    if not _is_number(rel_tol) or rel_tol <= 0:
-        v.append(f"quad.rel_tol: must be a positive number, got {rel_tol!r}")
-    if not _is_number(abs_tol) or abs_tol <= 0:
-        v.append(f"quad.abs_tol: must be a positive number, got {abs_tol!r}")
+    mc = _settings(McSettings, data, "mc", v)
+    quad = _settings(QuadSettings, data, "quad", v)
 
     if v:
         raise SpecValidationError(v)
     return SweepSpec(
         n_relays=n, snr_start_db=float(start), snr_stop_db=float(stop),
         snr_step_db=float(step), rs_values=tuple(float(r) for r in rs_values),
-        schemes=tuple(schemes), engines=engines, links=links,
-        trials=trials, seed=seed, chunk_size=chunk,
-        quad_rel_tol=float(rel_tol), quad_abs_tol=float(abs_tol))
+        schemes=tuple(schemes), engines=tuple(engines), links=links, mc=mc, quad=quad)
 
 
 def snr_grid(spec: SweepSpec):
@@ -284,12 +258,13 @@ def config_at(spec: SweepSpec, snr_db: float) -> NetworkConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated grid point; optional fields are empty unless mc."""
+    """One evaluated grid point (an `eval` row has no snr_db); trials, seed
+    and ci_halfwidth are empty unless mc."""
 
-    snr_db: float
+    snr_db: Optional[float]
     scheme: Scheme
     rs: float
-    engine: str
+    engine: Engine
     sop: Optional[float] = None
     ci_halfwidth: Optional[float] = None
     trials: Optional[int] = None
@@ -316,21 +291,28 @@ def _row(snr_db, scheme, rs, engine, res=None, status="ok") -> SweepRow:
                     ci_halfwidth=res.ci_halfwidth, trials=res.trials, seed=res.seed)
 
 
+def _evaluate(engine: Engine, config: NetworkConfig, scheme: Scheme, rs: float,
+              mc: McSettings, quad: QuadSettings, snr_db: Optional[float] = None,
+              workers: int = 1) -> SweepRow:
+    """The row of one SOP by one engine; raises what the engine raises."""
+    target = SecrecyTarget(rs)
+    if engine is Engine.ANALYTIC:
+        res = sop_analytic(config, scheme, target)
+    elif engine is Engine.QUADRATURE:
+        res = sop_quadrature(config, scheme, target, quad)
+    else:
+        res = estimate_sop(config, scheme, target, mc, workers)
+    return _row(snr_db, scheme, rs, engine, res)
+
+
 def _eval_point(spec: SweepSpec, snr_db: float, scheme: Scheme, rs: float,
-                engine: str) -> SweepRow:
+                engine: Engine) -> SweepRow:
     """One analytic or quad row."""
     try:
-        config = config_at(spec, snr_db)
-        target = SecrecyTarget(rs)
-        if engine == "analytic":
-            res = sop_analytic(config, scheme, target)
-        else:
-            res = sop_quadrature(config, scheme, target,
-                                 QuadSettings(rel_tol=spec.quad_rel_tol,
-                                              abs_tol=spec.quad_abs_tol))
+        return _evaluate(engine, config_at(spec, snr_db), scheme, rs, spec.mc,
+                         spec.quad, snr_db)
     except _ROW_ERRORS as exc:
         return _row(snr_db, scheme, rs, engine, status=_status(exc))
-    return _row(snr_db, scheme, rs, engine, res)
 
 
 def _mc_rows(spec: SweepSpec, workers: int) -> dict:
@@ -361,14 +343,15 @@ def _mc_rows(spec: SweepSpec, workers: int) -> dict:
             results = estimate_sop_grid(
                 [config for _, config in points],
                 [(scheme, target) for scheme, _, target in cells],
-                McSettings(spec.trials, spec.seed, spec.chunk_size), workers)
+                spec.mc, workers)
         except _ROW_ERRORS as exc:
             failed.update({(snr, scheme, rs): _status(exc)
                            for snr, _ in points for scheme, rs, _ in cells})
-    rows = {key: _row(*key, "mc", status=status) for key, status in failed.items()}
+    engine = Engine.MONTE_CARLO
+    rows = {key: _row(*key, engine, status=status) for key, status in failed.items()}
     for (snr, _), row in zip(points, results):
         for (scheme, rs, _), res in zip(cells, row):
-            rows[(snr, scheme, rs)] = _row(snr, scheme, rs, "mc", res)
+            rows[(snr, scheme, rs)] = _row(snr, scheme, rs, engine, res)
     return rows
 
 
@@ -389,8 +372,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
     analytic engine sets mpmath's process-wide working precision, which
     threads would clobber.
     """
-    mc = _mc_rows(spec, workers) if "mc" in spec.engines else {}
-    return [mc[p[:3]] if p[3] == "mc" else _eval_point(spec, *p)
+    mc = _mc_rows(spec, workers) if Engine.MONTE_CARLO in spec.engines else {}
+    return [mc[p[:3]] if p[3] is Engine.MONTE_CARLO else _eval_point(spec, *p)
             for p in sweep_points(spec)]
 
 
@@ -412,12 +395,6 @@ def write_rows(out, rows) -> None:
     w.writerow(CSV_HEADER)
     for r in rows:
         w.writerow([
-            _fmt(r.snr_db), r.scheme.value, _fmt(r.rs), r.engine,
+            _fmt(r.snr_db), r.scheme.value, _fmt(r.rs), r.engine.value,
             _fmt(r.sop), _fmt(r.ci_halfwidth), _fmt(r.trials), _fmt(r.seed),
             r.status])
-
-
-def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    write_rows(buf, rows)
-    return buf.getvalue()

@@ -21,6 +21,17 @@ from relaysop.expdist import (_digit_loss, spread_rates, subset_rate_sums,
 from relaysop.model import Scheme
 
 
+def secrecy_outage(gamma_m: float, gamma_e: float, target) -> bool:
+    """The outage event every engine counts: (1+gamma_m) < rho*(1+gamma_e).
+
+    Equivalent to the unclamped secrecy rate 0.5*log2((1+gm)/(1+ge)) falling
+    below rs; at rs = 0 this is the intercept event (negative secrecy
+    capacity), which the clamped rate cannot express. Ties count as
+    non-outage (strict inequality).
+    """
+    return (1.0 + gamma_m) < target.rho * (1.0 + gamma_e)
+
+
 def secrecy_rate(gamma_m: float, gamma_e: float) -> float:
     """Achievable secrecy rate 0.5*log2((1+gamma_m)/(1+gamma_e)), clamped at 0.
 
@@ -279,6 +290,12 @@ def reference_outages(cfg, scheme, target, settings):
 # stand-in for it sees the addends of both forms.
 
 
+def _raw(build):
+    """build() with its (count, mpf) addends as the (count, raw mpf tuple)
+    pairs analytic._escalating_sum sums."""
+    return lambda: [(count, t._mpf_) for count, t in build()]
+
+
 def mp_pair(beta_kD_k: float, beta_sd: float):
     """Convolution coefficients ((B1, rate_sd'), (B2, rate_kD')) of the
     per-relay legitimate sum: f_X(x) = B1*exp(-rate_sd'*x) + B2*exp(-rate_kD'*x)."""
@@ -318,8 +335,8 @@ def selection_relay_terms(config, target, k: int, minimize: bool):
                 out.append((1, -sel * (B / b) * ase * mp.exp(-b * rm1) / (rho * b + ase)))
             return out
 
-        i4 = analytic._escalating_sum(build_threshold, base_dps)
-        i5 = analytic._escalating_sum(build_slack, base_dps)
+        i4 = analytic._escalating_sum(_raw(build_threshold), base_dps)
+        i5 = analytic._escalating_sum(_raw(build_slack), base_dps)
         return (i4, i5) if minimize else (i4, 0.0, i5)
 
     subs = subset_rate_sums(others)
@@ -364,9 +381,9 @@ def selection_relay_terms(config, target, k: int, minimize: bool):
                 out.append((count, -sgn * (sel * B_b * ase * decay / arb)))
         return out
 
-    return (analytic._escalating_sum(build_i1, base_dps),
-            analytic._escalating_sum(build_i2, base_dps),
-            analytic._escalating_sum(build_i3, base_dps))
+    return (analytic._escalating_sum(_raw(build_i1), base_dps),
+            analytic._escalating_sum(_raw(build_i2), base_dps),
+            analytic._escalating_sum(_raw(build_i3), base_dps))
 
 
 def mp_cdf_weights(rates):
@@ -402,7 +419,7 @@ def max_mrc_total(config, target) -> float:
                          for m, am, count in sums)
         return terms
 
-    return analytic._escalating_sum(build, working_dps(legit))
+    return analytic._escalating_sum(_raw(build), working_dps(legit))
 
 
 def mrc_mrc_total(config, target) -> float:
@@ -423,7 +440,7 @@ def mrc_mrc_total(config, target) -> float:
                 terms.append((1, -prod * ap * mp.exp(-rm1 * bi) / (ap + rho * bi)))
         return terms
 
-    return analytic._escalating_sum(build, working_dps(legit, eve))
+    return analytic._escalating_sum(_raw(build), working_dps(legit, eve))
 
 
 def closed_form_per_relay(config, scheme, target) -> tuple:

@@ -6,6 +6,7 @@ for the full tally. The heavy test is the three-engine grid (640 cells,
 Monte Carlo at 1e6 trials in one grid call per relay count).
 """
 
+import io
 import math
 import threading
 
@@ -14,21 +15,28 @@ import numpy as np
 from oracles import excl_max_pdf, hypoexp_pdf, max_exp_cdf
 
 from relaysop import sweep
-from relaysop.analytic import diversity_slope, sop_analytic
+from relaysop.analytic import sop_analytic
 from relaysop.claims import (BALANCED_FALL, FLOOR_GAP_TOL, FLOOR_SNR_DB,
                              TIE_TOL, analytic_table, approaches_floor,
-                             fig2_claims, fig3_claims, fig4_claims, settles)
+                             diversity_slope, fig2_claims, fig3_claims,
+                             fig4_claims, settles)
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import McSettings, estimate_sop, estimate_sop_grid
 from relaysop.presets import (PARAM_FAMILIES, family_config, family_links,
                               figure_sweep_specs)
 from relaysop.quadrature import sop_quadrature
-from relaysop.sweep import config_at, parse_sweep_spec, run_sweep, rows_to_csv
+from relaysop.sweep import config_at, parse_sweep_spec, run_sweep, write_rows
 
 SEED = 20250809
 GRID_SNR_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
 GRID_N = (1, 2, 3, 4)
 GRID_RS = (0.0, 1.0)
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    write_rows(buf, rows)
+    return buf.getvalue()
 
 
 def report(num, name, ok, detail=""):
@@ -275,9 +283,9 @@ def test_criterion_8_determinism():
         },
         "mc": {"trials": 200_000, "seed": SEED, "chunk_size": 1 << 14},
     })
-    outputs = {w: rows_to_csv(run_sweep(spec, workers=w)) for w in (1, 4, 16)}
+    outputs = {w: csv_text(run_sweep(spec, workers=w)) for w in (1, 4, 16)}
     ok = outputs[1] == outputs[4] == outputs[16]
-    rerun = rows_to_csv(run_sweep(spec, workers=4))
+    rerun = csv_text(run_sweep(spec, workers=4))
     ok &= rerun == outputs[4]
     report(8, "mc-determinism", ok,
            f"{len(outputs[1].splitlines()) - 1} rows byte-identical")
@@ -307,7 +315,7 @@ def test_criterion_9_closed_form_determinism(monkeypatch):
 
     for name in ("sop_analytic", "sop_quadrature"):
         monkeypatch.setattr(sweep, name, recording(getattr(sweep, name)))
-    outputs = {w: rows_to_csv(run_sweep(spec, workers=w)) for w in (1, 4, 16)}
+    outputs = {w: csv_text(run_sweep(spec, workers=w)) for w in (1, 4, 16)}
     ok = outputs[1] == outputs[4] == outputs[16]
     ok &= threads == {threading.get_ident()}
     report(9, "closed-form-determinism", ok,

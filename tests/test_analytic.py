@@ -10,9 +10,10 @@ import pytest
 
 import oracles
 import relaysop.analytic as analytic
-from relaysop.analytic import (_escalating_sum, diversity_slope, max_e_breakdown,
-                               min_e_breakdown, slope_between, sop_analytic,
-                               sop_max_e, sop_max_mrc, sop_min_e, sop_mrc_mrc)
+from relaysop.analytic import (_escalating_sum, max_e_breakdown, min_e_breakdown,
+                               sop_analytic, sop_max_e, sop_max_mrc, sop_min_e,
+                               sop_mrc_mrc)
+from relaysop.claims import diversity_slope, slope_between
 from relaysop.errors import (ConvergenceError, SlopeUndefinedError,
                              UnsupportedSizeError)
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
@@ -305,7 +306,7 @@ def _with_addends(monkeypatch, fn, *args):
     def recording(build, base_dps, max_rounds=6):
         def recorded():
             terms = build()
-            sums.add((mp.mp.prec, tuple(sorted((c, t._mpf_) for c, t in terms))))
+            sums.add((mp.mp.prec, tuple(sorted(terms))))
             return terms
         return _escalating_sum(recorded, base_dps, max_rounds)
 
@@ -367,7 +368,7 @@ class TestLargestMagnitude:
             for values in cases:
                 want = max((abs(v) for v in values), default=mp.mpf(0))
                 got = analytic._largest_magnitude([v._mpf_ for v in values])
-                assert got._mpf_ == want._mpf_
+                assert got == want._mpf_
 
 
 class TestRelayPermutations:
@@ -417,13 +418,13 @@ class TestPrecisionExhaustion:
         # 1 - 1 is 0 at every precision: the total never stands clear of the
         # rounding bound of its unit addends
         with pytest.raises(ConvergenceError) as info:
-            _escalating_sum(lambda: [(1, mp.mpf(1)), (1, mp.mpf(-1))], 15)
+            _escalating_sum(lambda: [(1, mp.mpf(1)._mpf_), (1, mp.mpf(-1)._mpf_)], 15)
         assert info.value.estimate == 0.0
         assert 0.0 < info.value.error_bound < 1e-60
 
     def test_weighted_addend_equals_its_repeats(self):
         def build():
-            return [(70, mp.mpf(1) / 3), (1, -mp.mpf(2) / 7)]
+            return [(70, (mp.mpf(1) / 3)._mpf_), (1, (-mp.mpf(2) / 7)._mpf_)]
         with mp.workdps(30):
             third = mp.mpf(1) / 3
             want = float(mp.fsum([third] * 70 + [-mp.mpf(2) / 7]))
@@ -437,7 +438,7 @@ class TestPrecisionExhaustion:
 
             def build():
                 rounds.append(mp.mp.dps)
-                return [(count, mp.mpf(t)) for count, t in pairs]
+                return [(count, mp.mpf(t)._mpf_) for count, t in pairs]
             return _escalating_sum(build, 25), rounds
 
         weighted = sum_of([(1000, 1), (1000, -1), (1, "1e-9")])

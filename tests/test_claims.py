@@ -12,7 +12,7 @@ from relaysop.claims import (FLOOR_SNR_DB, analytic_table, approaches_floor,
                              fig2_claims, fig4_claims, figure_report,
                              keeps_falling, settles)
 from relaysop.errors import ConvergenceError
-from relaysop.model import Scheme, SecrecyTarget
+from relaysop.model import Engine, Scheme, SecrecyTarget
 from relaysop.presets import figure_sweep_specs
 from relaysop.sweep import SweepRow, config_at, snr_grid
 
@@ -51,11 +51,11 @@ def _fig4_tables(specs):
 
 
 def test_analytic_table_keeps_ok_analytic_rows():
-    rows = [SweepRow(10.0, Scheme.MAX_E, 0.0, "analytic", sop=0.3),
-            SweepRow(10.0, Scheme.MAX_E, 0.0, "mc", sop=0.31),
-            SweepRow(20.0, Scheme.MAX_E, 0.0, "analytic",
+    rows = [SweepRow(10.0, Scheme.MAX_E, 0.0, Engine.ANALYTIC, sop=0.3),
+            SweepRow(10.0, Scheme.MAX_E, 0.0, Engine.MONTE_CARLO, sop=0.31),
+            SweepRow(20.0, Scheme.MAX_E, 0.0, Engine.ANALYTIC,
                      status="convergence-failure"),
-            SweepRow(20.0, Scheme.MIN_E, 1.0, "analytic", sop=0.1)]
+            SweepRow(20.0, Scheme.MIN_E, 1.0, Engine.ANALYTIC, sop=0.1)]
     assert analytic_table(rows) == {(10.0, Scheme.MAX_E, 0.0): 0.3,
                                     (20.0, Scheme.MIN_E, 1.0): 0.1}
 

@@ -10,7 +10,7 @@ from relaysop.cli import load_network_config, main
 from relaysop.errors import ConvergenceError
 from relaysop.model import (NetworkConfig, Scheme, SecrecyTarget, db_to_rate,
                             validate_config)
-from relaysop.montecarlo import McSettings, estimate_sop_many
+from relaysop.montecarlo import estimate_sop_many
 from relaysop.sweep import (SpecValidationError, config_at, parse_sweep_spec,
                             run_sweep, snr_grid, sweep_points)
 
@@ -115,6 +115,18 @@ class TestEval:
                      "--abs-tol", "1e-16"])
         assert code == 1
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--rel-tol", "nan", "quad.rel_tol"), ("--abs-tol", "nan", "quad.abs_tol"),
+        ("--rel-tol", "inf", "quad.rel_tol")])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, flag, value, field):
+        # a NaN tolerance would make quad's convergence test always pass
+        cfg = write_json(tmp_path / "cfg.json", symmetric_config())
+        code = main(["eval", "--config", cfg, "--scheme", "max-e", "--rs", "1",
+                     "--engine", "quad", flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
 
     def test_oversized_network_exit_code(self, tmp_path, capsys):
         data = symmetric_config()
@@ -259,6 +271,17 @@ class TestSweepCommand:
         assert (tmp_path / "o_n1.csv").exists()
         assert (tmp_path / "o_n2.csv").exists()
 
+    @pytest.mark.parametrize("counts", [[], [2, 2], [1, 2, 1]])
+    def test_empty_or_repeated_relay_counts_exit_2(self, tmp_path, capsys, counts):
+        data = small_sweep_spec(engines=("analytic",))
+        data["n_relays"] = counts
+        data["links"]["relays_e"] = {"policy": "fixed-db", "mean_snr_db": 3.0}
+        spec = write_json(tmp_path / "s.json", data)
+        code = main(["sweep", "--spec", spec, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: n_relays")
+        assert not list(tmp_path.glob("o*.csv"))
+
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
         data = small_sweep_spec()
         data["schemes"] = []
@@ -297,7 +320,7 @@ class TestSweepCommand:
             warnings.simplefilter("always")
             rows = run_sweep(spec, workers=workers)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        settings = McSettings(spec.trials, spec.seed, spec.chunk_size)
+        settings = spec.mc
         valid = []
         for snr in snr_grid(spec):
             mine = [r for r in rows if r.snr_db == snr]
@@ -517,6 +540,16 @@ class TestSlopeCommand:
         slopes = [float(line.split(",")[3]) for line in lines[1:]]
         assert len(slopes) == 3
         assert max(slopes) - min(slopes) < 0.1
+
+
+    @pytest.mark.parametrize("counts", [[], [2, 2]])
+    def test_empty_or_repeated_relay_counts_exit_2(self, tmp_path, capsys, counts):
+        data = small_sweep_spec(engines=("analytic",))
+        data["n_relays"] = counts
+        spec = write_json(tmp_path / "s.json", data)
+        assert main(["slope", "--spec", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n_relays")
 
 
 class TestReproduceCommand:

@@ -9,7 +9,7 @@ from oracles import (ChannelRealization, five_call_chunk, hypoexp_pdf,
 from relaysop.model import NetworkConfig, Scheme, SecrecyTarget
 from relaysop.montecarlo import (_COMBINING, McSettings, _block_rows, _chunk_state,
                                  _eavesdropper_half, _generator, _legitimate_half,
-                                 _Plan, _rates, _sample_chunk, _Scratch, _unit_rows,
+                                 _Plan, _rates, _Scratch, _unit_rows,
                                  estimate_sop, estimate_sop_grid, estimate_sop_many)
 
 SEED = 20250809
@@ -23,22 +23,22 @@ def fig2_config(n, snr_db):
 class TestSampling:
     def test_sample_mean_matches_inverse_rate(self):
         cfg = NetworkConfig(1, (1.0,), (1.0,), 0.5, (1.0,), 1.0)
-        _, _, gsd, _, _ = _sample_chunk(cfg, SEED, 0, 1_000_000)
+        _, _, gsd, _, _ = five_call_chunk(cfg, SEED, 0, 1_000_000)
         # E = 1/beta = 2, sigma of the mean = 2/sqrt(n)
         assert abs(gsd.mean() - 2.0) <= 3.0 * (2.0 / 1e3)
 
     def test_tail_probability(self):
         cfg = NetworkConfig(1, (1.0,), (1.0,), 1.0, (1.0,), 1.0)
-        _, _, _, gke, _ = _sample_chunk(cfg, SEED, 0, 1_000_000)
+        _, _, _, gke, _ = five_call_chunk(cfg, SEED, 0, 1_000_000)
         p = np.mean(gke[:, 0] > 1.0)
         sigma = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / 1e6)
         assert abs(p - math.exp(-1.0)) <= 3.0 * sigma
 
     def test_same_seed_same_realizations(self):
         cfg = fig2_config(3, 10.0)
-        first = _sample_chunk(cfg, 99, 0, 1000)
-        again = _sample_chunk(cfg, 99, 0, 1000)
-        other = _sample_chunk(cfg, 98, 0, 1000)
+        first = five_call_chunk(cfg, 99, 0, 1000)
+        again = five_call_chunk(cfg, 99, 0, 1000)
+        other = five_call_chunk(cfg, 98, 0, 1000)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
         assert not any(np.array_equal(a, b) for a, b in zip(first, other))
 
@@ -67,7 +67,7 @@ class TestRunScheme:
 
     def test_vectorized_agrees_with_scalar(self):
         cfg = fig2_config(3, 12.0)
-        arrays = _sample_chunk(cfg, SEED, 0, 200)
+        arrays = five_call_chunk(cfg, SEED, 0, 200)
         gsk, gkd, gsd, gke, gse = arrays
         for scheme in Scheme:
             gm, ge = reference_snrs(arrays, scheme)
@@ -133,6 +133,12 @@ class TestEstimate:
         with pytest.raises(ValueError):
             McSettings(trials=0, seed=1)
 
+    def test_every_bad_setting_named_as_its_spec_field(self):
+        with pytest.raises(ValueError) as info:
+            McSettings(trials=True, seed=-1, chunk_size=0.5)
+        assert [v.split(":")[0] for v in info.value.violations] == [
+            "mc.trials", "mc.seed", "mc.chunk_size"]
+
     def test_invalid_config_rejected(self):
         cfg = NetworkConfig(1, (1.0,), (1.0,), -1.0, (1.0,), 1.0)
         with pytest.raises(ValueError):
@@ -161,7 +167,7 @@ class TestEstimateMany:
         """Reference: every chunk drawn afresh for this one pair."""
         s, outages = self.SETTINGS, 0
         for c, start in enumerate(range(0, s.trials, s.chunk_size)):
-            arrays = _sample_chunk(cfg, s.seed, c, min(s.chunk_size, s.trials - start))
+            arrays = five_call_chunk(cfg, s.seed, c, min(s.chunk_size, s.trials - start))
             gm, ge = reference_snrs(arrays, scheme)
             outages += int(np.count_nonzero((1.0 + gm) < target.rho * (1.0 + ge)))
         return outages / s.trials
@@ -214,9 +220,11 @@ class TestEstimateGrid:
 
     def test_single_buffer_stream_equals_five_calls(self):
         cfg = fig2_config(4, 12.0)
-        for drawn, reference in zip(_sample_chunk(cfg, SEED, 3, 1000),
-                                    five_call_chunk(cfg, SEED, 3, 1000)):
-            assert np.array_equal(drawn, reference)
+        unit = _unit_rows(_generator(), _chunk_state(SEED, 3), 1000, 4, 0,
+                          np.empty(1000 * (3 * 4 + 2)))
+        for u, rate, reference in zip(unit, _rates(cfg),
+                                      five_call_chunk(cfg, SEED, 3, 1000)):
+            assert np.array_equal(u / rate, reference)
 
     @staticmethod
     def eavesdropper_groups(n):
@@ -306,7 +314,7 @@ class TestEstimateGrid:
 class TestPointwiseStructure:
     def test_eavesdropper_snr_dominance_chain(self):
         cfg = fig2_config(4, 15.0)
-        arrays = _sample_chunk(cfg, SEED, 0, 100_000)
+        arrays = five_call_chunk(cfg, SEED, 0, 100_000)
         _, ge_mrc = reference_snrs(arrays, Scheme.MRC_MRC)
         gm_maxmrc, ge_maxmrc = reference_snrs(arrays, Scheme.MAX_MRC)
         gm_maxe, ge_maxe = reference_snrs(arrays, Scheme.MAX_E)
@@ -320,7 +328,7 @@ class TestPointwiseStructure:
 
     def test_event_forms_identical_per_trial(self):
         cfg = fig2_config(2, 10.0)
-        gm, ge = reference_snrs(_sample_chunk(cfg, SEED, 0, 100_000), Scheme.MRC_MRC)
+        gm, ge = reference_snrs(five_call_chunk(cfg, SEED, 0, 100_000), Scheme.MRC_MRC)
         for rs in (0.0, 0.3):
             target = SecrecyTarget(rs)
             ratio_form = (1.0 + gm) < target.rho * (1.0 + ge)
@@ -331,7 +339,7 @@ class TestPointwiseStructure:
         # Kolmogorov-Smirnov at the 1% level against the mixture CDF
         cfg = NetworkConfig(2, (0.5, 0.75), (0.7, 0.45), 0.9, (1.0, 1.0), 1.0)
         n = 1_000_000
-        gsk, gkd, gsd, _, _ = _sample_chunk(cfg, SEED, 0, n)
+        gsk, gkd, gsd, _, _ = five_call_chunk(cfg, SEED, 0, n)
         total = gsd + np.minimum(gsk, gkd).sum(axis=1)
         mix = hypoexp_pdf([cfg.beta_sd, *cfg.beta_kD])
         coeffs = np.array([float(c) for c, _ in mix.terms])

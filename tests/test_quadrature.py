@@ -149,7 +149,7 @@ class TestSopQuadrature:
 
     def test_convergence_error_carries_estimate(self):
         cfg = fig2_config(4, 20.0)
-        strict = QuadSettings(rel_tol=1e-15, abs_tol=1e-16, max_depth=2)
+        strict = QuadSettings(rel_tol=1e-15, abs_tol=1e-16)
         with pytest.raises(ConvergenceError) as exc:
             sop_quadrature(cfg, Scheme.MAX_E, SecrecyTarget(1.0), strict)
         assert 0.0 <= exc.value.estimate <= 1.0
@@ -163,10 +163,11 @@ class TestSopQuadrature:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             QuadSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadSettings(tail_cutoff_mass=1e-3)
-        with pytest.raises(ValueError):
-            QuadSettings(max_depth=0)
+        for bad in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="quad.rel_tol"):
+                QuadSettings(rel_tol=bad)
+            with pytest.raises(ValueError, match="quad.abs_tol"):
+                QuadSettings(abs_tol=bad)
 
 
 class TestReferenceBytes:
